@@ -25,7 +25,7 @@ def format_table(
     """
     rendered: List[List[str]] = [[_cell(v) for v in row] for row in rows]
     widths = [len(h) for h in headers]
-    for row in rendered:  # lint: ignore[RPR901] report-table rows; a _cell here is a table cell, not a standard cell
+    for row in rendered:
         if len(row) != len(headers):
             raise AnalysisError(
                 f"row has {len(row)} cells, table has {len(headers)} columns"
@@ -37,7 +37,7 @@ def format_table(
         lines.append(title)
     lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
     lines.append("  ".join("-" * w for w in widths))
-    for row in rendered:  # lint: ignore[RPR901] report-table rows; a _cell here is a table cell, not a standard cell
+    for row in rendered:
         cells = []
         for i, cell in enumerate(row):
             if _is_numeric_string(cell):

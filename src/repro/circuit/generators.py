@@ -270,7 +270,7 @@ def random_logic(
             internal, size=min(n_outputs - len(dangling), len(internal)), replace=False
         )
         dangling.extend(str(e) for e in extra)
-    for out in dangling:  # lint: ignore[RPR901] one-time netlist construction, builds Python gate objects per circuit
+    for out in dangling:
         circuit.add_output(out)
     return circuit.freeze()
 
@@ -333,7 +333,7 @@ def _connect_unused_inputs(gates, inputs, rng, name: str) -> None:
     pending = [pi for pi in inputs if use_count.get(pi, 0) == 0]
     if not pending:
         return
-    for idx in rng.permutation(len(gates)):  # lint: ignore[RPR901] one-time construction sweep over mutable gate objects
+    for idx in rng.permutation(len(gates)):
         if not pending:
             return
         gate = gates[int(idx)]
@@ -385,7 +385,7 @@ def _pick_fanins(
             back = min(int(rng.geometric(0.5)), len(levels))
             pool = levels[-back]
             candidate = pool[int(rng.integers(len(pool)))]
-        if candidate not in chosen:  # lint: ignore[RPR905] chosen holds at most k distinct fanins (single digits); a set would cost more than it saves
+        if candidate not in chosen:
             chosen.append(candidate)
     if len(chosen) < k:
         # Tiny levels can starve the distinct-draw loop; pad from inputs.

@@ -83,11 +83,11 @@ def place_circuit(
     side = int(np.ceil(np.sqrt(n)))
     pitch = die_size / side
     positions = np.empty((n, 2))
-    for idx in range(n):  # lint: ignore[RPR901] serpentine placement runs once per circuit build, not per die
+    for idx in range(n):
         row, col = divmod(idx, side)
         if row % 2 == 1:
             col = side - 1 - col  # serpentine keeps consecutive gates adjacent
-        positions[idx, 0] = (col + 0.5) * pitch  # lint: ignore[RPR904] sequential serpentine coordinate fill during construction
+        positions[idx, 0] = (col + 0.5) * pitch
         positions[idx, 1] = (row + 0.5) * pitch
     return Placement(die_size=die_size, positions=positions)
 

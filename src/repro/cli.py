@@ -89,7 +89,6 @@ from .lint import (
     LintContext,
     LintOptions,
     LintReport,
-    SpanProfile,
     apply_baseline,
     dead_entries,
     load_baseline,
@@ -381,8 +380,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             f"unexpected argument {args.baseline_action!r}; baseline "
             "subcommands are 'repro lint baseline verify|prune'"
         )
-    if args.effects is not None:
-        return _cmd_lint_effects(args.effects)
     if args.circuit is None and not args.self_lint:
         raise ReproError("lint needs a circuit, --self, or both")
     options = LintOptions(
@@ -390,8 +387,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         reconvergence_depth=args.reconvergence_depth,
         ignore=frozenset(args.ignore),
         paths=tuple(args.paths) if args.paths else None,
-        profile=(SpanProfile.load(args.profile)
-                 if args.profile is not None else None),
     )
     passes = tuple(args.passes) if args.passes else None
     circuit = None
@@ -505,50 +500,6 @@ def _cmd_lint_rules(args: argparse.Namespace) -> int:
             print(f"  {rule.code} {rule.severity.value:<7} {rule.name}")
             print(f"      {rule.summary}")
     print(f"{len(REGISTRY.codes())} rule(s) in {len(PASS_NAMES)} pass(es)")
-    return 0
-
-
-def _cmd_lint_effects(func: str) -> int:
-    program = LintContext(
-        source_root=Path(__file__).parent
-    ).whole_program()
-    effects = program.effects()
-    # A module path selects every node defined in that module: exact
-    # module name, or dotted suffix of one ("timing.mc" for
-    # "repro.timing.mc").  Function / Class.method lookups match the
-    # node qualname itself, again exactly or by dotted suffix.
-    module_names = {info.name for info in program.index}
-    module = next(
-        (name for name in sorted(module_names)
-         if name == func or name.endswith("." + func)),
-        None,
-    )
-    if module is not None:
-        matches = sorted(
-            qualname for qualname in effects.summaries
-            if (owner := program.graph.module_of(qualname)) is not None
-            and owner.name == module
-        )
-    else:
-        matches = sorted(
-            qualname
-            for qualname in effects.summaries
-            if qualname == func or qualname.endswith("." + func)
-        )
-    if not matches:
-        raise ReproError(
-            f"no call-graph node matches {func!r}; give a function name, "
-            "a dotted suffix (runner.run_sharded, Class.method), or a "
-            "module path (repro.parallel.runner)"
-        )
-    for qualname in matches:
-        summary = effects.summaries[qualname]
-        label = "pure" if summary.pure else ", ".join(sorted(summary.total))
-        print(f"{qualname}: {label}")
-        for detail in summary.details:
-            print(f"    {detail}")
-        for effect, callee in summary.carriers:
-            print(f"    {effect} via call to {callee}")
     return 0
 
 
@@ -1060,18 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--passes", nargs="+", default=None, metavar="PASS",
         choices=PASS_NAMES,
         help="run only these passes (subject must be present), "
-             f"e.g. --passes concurrency; choices: {', '.join(PASS_NAMES)}",
-    )
-    lint.add_argument(
-        "--effects", default=None, metavar="FUNC",
-        help="print the purity/effect summary of a function (name, dotted "
-             "suffix like runner.run_sharded or Class.method, or a module "
-             "path like repro.parallel.runner) and exit",
-    )
-    lint.add_argument(
-        "--profile", default=None, metavar="TRACE",
-        help="telemetry JSONL trace (from --telemetry) used to rank perf "
-             "findings by measured span seconds",
+             f"e.g. --passes rng; choices: {', '.join(PASS_NAMES)}",
     )
     lint.add_argument("--tech", default="ptm100", help="technology preset")
     lint.add_argument(

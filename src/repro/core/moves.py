@@ -75,7 +75,7 @@ def candidate_moves(
 ) -> Iterator[Move]:
     """All leakage-reducing move candidates at the current state."""
     next_size_down = view.library.next_size_down
-    for index, gate in enumerate(view.gates):  # lint: ignore[RPR901] yields discrete Move objects; candidate enumeration is inherently per-gate
+    for index, gate in enumerate(view.gates):
         if enable_vth and gate.vth is VthClass.LOW:
             yield Move(index=index, kind="vth", new_vth=VthClass.HIGH)
         if enable_sizing:

@@ -149,7 +149,7 @@ def lattice_upper_bound(view: TimingView, varmodel: VariationModel) -> float:
     delays = gate_delay_canonicals(view, varmodel)
     bound: List[float] = [0.0] * view.n_gates
     fanin_lists = [f.tolist() for f in view.fanin_gates]
-    for i in range(view.n_gates):  # lint: ignore[RPR901] topological bound recurrence is inherently sequential and O(edges) cheap
+    for i in range(view.n_gates):
         c = delays[i]
         base = max((bound[j] for j in fanin_lists[i]), default=0.0)
         bound[i] = base + c.mean + SIGMA_SPAN * c.indep
@@ -180,7 +180,7 @@ def propagate_lattice(
     fanin_lists = [f.tolist() for f in view.fanin_gates]
     states: List[LatticeState] = [None] * n  # type: ignore[list-item]
     with tele.span("engine.histogram.convolve", gates=n, bins=bins):
-        for i in range(n):  # lint: ignore[RPR901] topological recurrence is inherently sequential; each iteration is one vectorized lattice convolution
+        for i in range(n):
             c = delays[i]
             gate_pmf = _gaussian_lattice_pmf(c.mean, c.indep, w, bins)
             fanins = fanin_lists[i]
@@ -195,7 +195,7 @@ def propagate_lattice(
         po = [int(i) for i in view.primary_output_indices()]
         po_shares = np.ones(len(po))
         sink = states[po[0]]
-        for k in range(1, len(po)):  # lint: ignore[RPR901] sequential tightness-share fold over primary outputs, mirrors the ssta PO merge
+        for k in range(1, len(po)):
             sink, tightness = _max_state(sink, states[po[k]])
             po_shares[:k] *= tightness
             po_shares[k] = 1.0 - tightness

@@ -1,6 +1,6 @@
 """Static analysis for the repro flow (``repro lint``).
 
-Nine analyzer passes over one rule registry:
+Seven analyzer passes over one rule registry:
 
 ===============  ==========  ==================================================
 pass             codes       subject
@@ -16,12 +16,6 @@ pass             codes       subject
 ``rng``          RPR6xx      interprocedural RNG-determinism taint analysis
 ``artifacts``    RPR7xx      durability of result/artifact writes (atomic-write
                              discipline for everything the store trusts)
-``concurrency``  RPR8xx      global-state escape, fork/pickle boundaries, and
-                             purity summaries (what is safe to run in workers)
-``perf``         RPR9xx      performance antipatterns on telemetry-hot paths
-                             (scalar workload loops, hot-loop allocation,
-                             element-wise indexing), profile-rankable via
-                             ``--profile TRACE.jsonl``
 ===============  ==========  ==================================================
 
 The source-tree passes share one cached parse per file through
@@ -48,7 +42,6 @@ from .baseline import (
     prune_baseline,
     write_baseline,
 )
-from .analysis.hotpath import SpanProfile
 from .context import LintContext, LintOptions
 from .core import PASS_NAMES, REGISTRY, Finding, Rule, RuleRegistry
 from .engine import LintEngine, LintReport, run_lint, select_passes
@@ -76,7 +69,6 @@ __all__ = [
     "Rule",
     "RuleRegistry",
     "SARIF_VERSION",
-    "SpanProfile",
     "apply_baseline",
     "dead_entries",
     "fingerprint",

@@ -11,49 +11,11 @@ Layers, bottom to top:
   forward/reverse traversal and path reconstruction;
 * :mod:`~repro.lint.analysis.unitlattice` — the unit lattice the
   units-propagation pass abstractly interprets over;
-* :mod:`~repro.lint.analysis.globalstate` — inventory of module-level
-  mutable state with shadow-aware write/read attribution;
-* :mod:`~repro.lint.analysis.forkboundary` — ``ProcessPoolExecutor``
-  submit sites and the call-graph closure each worker executes;
-* :mod:`~repro.lint.analysis.effects` — per-function purity/side-effect
-  summaries (reads-global / writes-global / does-io) via fixpoint;
-* :mod:`~repro.lint.analysis.loopnest` — per-node loop nests with
-  induction variables and estimated trip-count classes;
-* :mod:`~repro.lint.analysis.hotpath` — telemetry span instrumentation
-  sites mapped to call-graph nodes, the hot reachability closure, and
-  measured-seconds attribution from a trace profile;
 * :mod:`~repro.lint.analysis.program` — the per-run bundle caching all
   of the above behind the :class:`LintContext`.
 """
 
 from .callgraph import MODULE_NODE, CallGraph
-from .effects import (
-    DOES_IO,
-    READS_GLOBAL,
-    WRITES_GLOBAL,
-    EffectAnalysis,
-    EffectSummary,
-    IoTouch,
-)
-from .forkboundary import ForkBoundaryAnalysis, SubmitSite
-from .globalstate import (
-    GlobalStateInventory,
-    GlobalVar,
-    GlobalWrite,
-    SharedDefault,
-    shared_defaults,
-)
-from .hotpath import HotPathAnalysis, SpanProfile, SpanSite
-from .loopnest import (
-    SCALING_TRIP_CLASSES,
-    TRIP_PER_GATE,
-    TRIP_PER_SAMPLE,
-    TRIP_PER_SHARD,
-    TRIP_SMALL,
-    TRIP_UNKNOWN,
-    LoopInfo,
-    LoopNestAnalysis,
-)
 from .modules import ModuleIndex, ModuleInfo, collect_pragmas
 from .program import WholeProgram
 from .symbols import ClassInfo, FunctionInfo, ModuleSymbols, PackageSymbols
@@ -76,45 +38,21 @@ __all__ = [
     "CallGraph",
     "ClassInfo",
     "DIMENSIONLESS",
-    "DOES_IO",
-    "EffectAnalysis",
-    "EffectSummary",
-    "ForkBoundaryAnalysis",
     "FunctionInfo",
-    "GlobalStateInventory",
-    "GlobalVar",
-    "GlobalWrite",
-    "HotPathAnalysis",
     "INTO_SI",
-    "IoTouch",
-    "LoopInfo",
-    "LoopNestAnalysis",
     "MODULE_NODE",
     "ModuleIndex",
     "ModuleInfo",
     "ModuleSymbols",
     "OUT_OF_SI",
     "PackageSymbols",
-    "READS_GLOBAL",
-    "SCALING_TRIP_CLASSES",
     "SUFFIX_UNITS",
-    "SharedDefault",
-    "SpanProfile",
-    "SpanSite",
-    "SubmitSite",
-    "TRIP_PER_GATE",
-    "TRIP_PER_SAMPLE",
-    "TRIP_PER_SHARD",
-    "TRIP_SMALL",
-    "TRIP_UNKNOWN",
     "UNKNOWN",
     "Unit",
-    "WRITES_GLOBAL",
     "WholeProgram",
     "collect_pragmas",
     "join",
     "meet",
     "mixable",
-    "shared_defaults",
     "unit_from_name",
 ]

@@ -1,48 +1,28 @@
 """One-stop whole-program analysis bundle, built once per lint run.
 
 Every interprocedural pass needs the same substrate — symbol tables and
-the call graph — and the concurrency pass adds three more layers on top
-(global-state inventory, fork boundaries, effect summaries).  Building
-them repeatedly per pass would multiply the dominant cost of a self-lint
-run, so :class:`WholeProgram` bundles them behind lazy accessors and the
-:class:`~repro.lint.context.LintContext` caches one instance per run,
-the same way it caches the :class:`~.modules.ModuleIndex`.
+the call graph.  Building them repeatedly per pass would multiply the
+dominant cost of a self-lint run, so :class:`WholeProgram` bundles them
+and the :class:`~repro.lint.context.LintContext` caches one instance per
+run, the same way it caches the :class:`~.modules.ModuleIndex`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .callgraph import CallGraph
-from .effects import EffectAnalysis
-from .forkboundary import ForkBoundaryAnalysis
-from .globalstate import GlobalStateInventory
-from .hotpath import HotPathAnalysis
-from .loopnest import LoopNestAnalysis
 from .modules import ModuleIndex
 from .symbols import PackageSymbols
 
 
 @dataclass
 class WholeProgram:
-    """Shared interprocedural structures over one module index.
-
-    Symbols and call graph are built eagerly (every consumer needs
-    them); the concurrency layers are lazy so ``repro lint --self
-    --passes units`` never pays for fork-boundary analysis.
-    """
+    """Shared interprocedural structures over one module index."""
 
     index: ModuleIndex
     symbols: PackageSymbols
     graph: CallGraph
-    _inventory: Optional[GlobalStateInventory] = field(
-        default=None, repr=False
-    )
-    _fork: Optional[ForkBoundaryAnalysis] = field(default=None, repr=False)
-    _effects: Optional[EffectAnalysis] = field(default=None, repr=False)
-    _loopnests: Optional[LoopNestAnalysis] = field(default=None, repr=False)
-    _hotpaths: Optional[HotPathAnalysis] = field(default=None, repr=False)
 
     @classmethod
     def build(cls, index: ModuleIndex) -> "WholeProgram":
@@ -50,35 +30,3 @@ class WholeProgram:
         symbols = PackageSymbols(index)
         return cls(index=index, symbols=symbols,
                    graph=CallGraph.build(symbols))
-
-    def inventory(self) -> GlobalStateInventory:
-        """Module-level mutable state, writes, and reads (cached)."""
-        if self._inventory is None:
-            self._inventory = GlobalStateInventory.build(self.symbols)
-        return self._inventory
-
-    def fork_boundaries(self) -> ForkBoundaryAnalysis:
-        """Pool submit sites and worker closures (cached)."""
-        if self._fork is None:
-            self._fork = ForkBoundaryAnalysis(self.symbols, self.graph)
-        return self._fork
-
-    def effects(self) -> EffectAnalysis:
-        """Per-function effect summaries (cached)."""
-        if self._effects is None:
-            self._effects = EffectAnalysis(
-                self.symbols, self.graph, self.inventory()
-            )
-        return self._effects
-
-    def loopnests(self) -> LoopNestAnalysis:
-        """Per-node loop nests with trip-class estimates (cached)."""
-        if self._loopnests is None:
-            self._loopnests = LoopNestAnalysis(self.symbols)
-        return self._loopnests
-
-    def hotpaths(self) -> HotPathAnalysis:
-        """Span instrumentation sites and the hot closure (cached)."""
-        if self._hotpaths is None:
-            self._hotpaths = HotPathAnalysis(self.symbols, self.graph)
-        return self._hotpaths

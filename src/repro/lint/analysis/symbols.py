@@ -244,11 +244,12 @@ class PackageSymbols:
 
         Where :meth:`resolve_call` answers "what does calling this
         invoke", this answers "what does this expression refer to" — the
-        question the fork-boundary pass asks about pool-submitted
-        callables.  Resolves names and module attributes to package
-        functions *or classes*, ``self.method`` references, direct
-        constructor calls (``Worker(...)`` denotes an instance of
-        ``Worker``), and unwraps ``functools.partial(f, ...)`` to ``f``.
+        question the call graph asks about decorators and
+        ``functools.partial`` arguments.  Resolves names and module
+        attributes to package functions *or classes*, ``self.method``
+        references, direct constructor calls (``Worker(...)`` denotes an
+        instance of ``Worker``), and unwraps ``functools.partial(f, ...)``
+        to ``f``.
         """
         symbols = self.by_module[caller_module.name]
         if isinstance(expr, ast.Name):
@@ -290,8 +291,7 @@ class PackageSymbols:
         """Graph node invoked when a resolved value is called.
 
         Functions map to themselves; classes map to their ``__call__``
-        method when one is defined (instances submitted to a pool run
-        through it), else stay unresolved.
+        method when one is defined, else stay unresolved.
         """
         if qualname is None:
             return None
@@ -324,11 +324,6 @@ class PackageSymbols:
         """Every function/method, sorted by qualname."""
         for qual in sorted(self.functions):
             yield self.functions[qual]
-
-    def iter_classes(self) -> Iterator[ClassInfo]:
-        """Every top-level class, sorted by qualname."""
-        for qual in sorted(self.classes):
-            yield self.classes[qual]
 
     def node_bodies(self, info: ModuleInfo) -> Dict[str, List[ast.stmt]]:
         """Call-graph node -> the statements it owns, for one module.

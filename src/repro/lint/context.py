@@ -20,7 +20,6 @@ from ..errors import LintError
 from ..tech.library import Library
 from ..units import ns, ps
 from ..variation.parameters import VariationSpec
-from .analysis.hotpath import SpanProfile
 from .analysis.modules import ModuleIndex
 from .analysis.program import WholeProgram
 
@@ -50,12 +49,6 @@ class LintOptions:
         ``--paths``, used by the pre-commit changed-files hook).  The
         whole-program structures are still built from every module, so
         interprocedural results stay exact.
-    profile:
-        Measured span seconds from a telemetry trace (CLI
-        ``--profile``); the perf pass uses it to weight RPR9xx findings
-        by attributed wall time.  ``None`` degrades to reachability-only
-        hot gating with zero weights.  Frozen and tuple-backed, so the
-        options object stays picklable for the sharded runner.
     """
 
     max_fanout: int = 64
@@ -67,7 +60,6 @@ class LintOptions:
     yield_ceiling: float = 0.9999
     ignore: FrozenSet[str] = frozenset()
     paths: Optional[Tuple[str, ...]] = None
-    profile: Optional[SpanProfile] = None
 
 
 @dataclass(frozen=True)
@@ -108,10 +100,7 @@ class LintContext:
         if self.config is not None:
             passes.append("config")
         if self.source_root is not None:
-            passes.extend(
-                ["codebase", "units", "rng", "artifacts", "concurrency",
-                 "perf"]
-            )
+            passes.extend(["codebase", "units", "rng", "artifacts"])
         return tuple(passes)
 
     def module_index(self) -> ModuleIndex:
@@ -135,8 +124,8 @@ class LintContext:
     def whole_program(self) -> WholeProgram:
         """Shared interprocedural structures, built once per context.
 
-        Symbols and the call graph are needed by the units, rng, and
-        concurrency passes alike; this accessor makes them a per-run
+        Symbols and the call graph are needed by the units and rng
+        passes alike; this accessor makes them a per-run
         singleton (like :meth:`module_index`), so adding passes does
         not multiply graph-construction cost.
         """

@@ -4,9 +4,9 @@ A :class:`Rule` is a stable, documented invariant with an ``RPRxxx`` code;
 a :class:`Finding` is one concrete violation of a rule, possibly
 *suppressed* (acknowledged with a justification rather than fixed).  The
 :class:`RuleRegistry` maps codes to rules and groups the check functions
-into the analyzer passes (``circuit``, ``technology``, ``config``,
-``codebase``, the interprocedural ``units`` / ``rng`` / ``concurrency``
-passes, and the ``artifacts`` durability pass) the engine runs.
+into the seven analyzer passes (``circuit``, ``technology``, ``config``,
+``codebase``, the interprocedural ``units`` / ``rng`` passes, and the
+``artifacts`` durability pass) the engine runs.
 
 Check functions take a :class:`repro.lint.context.LintContext` and yield
 findings; one check may report for several related rules (the AST pass
@@ -23,7 +23,7 @@ from ..errors import DiagnosticSeverity, LintError
 #: The analyzer passes, in the order the engine runs them.
 PASS_NAMES: Tuple[str, ...] = (
     "circuit", "technology", "config", "codebase", "units", "rng",
-    "artifacts", "concurrency", "perf",
+    "artifacts",
 )
 
 
@@ -36,7 +36,7 @@ class Rule:
     code:
         Stable identifier, ``RPR`` + three digits; the hundreds digit is
         the pass (1 circuit, 2 technology, 3 config, 4 codebase,
-        5 units, 6 rng, 7 artifacts, 8 concurrency, 9 perf).
+        5 units, 6 rng, 7 artifacts).
     name:
         Short kebab-case slug (kept stable too — :func:`lint_circuit`
         compatibility and suppression pragmas rely on it).
@@ -70,7 +70,6 @@ class Rule:
         location: Optional[str] = None,
         suppressed: bool = False,
         justification: Optional[str] = None,
-        weight: float = 0.0,
     ) -> "Finding":
         """Create a finding for this rule."""
         return Finding(
@@ -79,7 +78,6 @@ class Rule:
             location=location,
             suppressed=suppressed,
             justification=justification,
-            weight=weight,
         )
 
 
@@ -88,14 +86,8 @@ class Finding:
     """One concrete rule violation.
 
     ``suppressed`` findings were acknowledged at the violation site (an
-    inline ``# lint: ignore[CODE]`` pragma); they are still reported but
-    never affect the exit code.
-
-    ``weight`` ranks findings of equal severity (higher first): the perf
-    pass sets it to the measured seconds a ``--profile`` trace attributes
-    to the finding's enclosing hot path.  It is presentation metadata —
-    deliberately excluded from baseline fingerprints, so reprofiling
-    never resurrects acknowledged findings.
+    inline ``lint: ignore`` pragma naming the rule's code) or frozen in a
+    baseline; they are still reported but never affect the exit code.
     """
 
     rule: Rule
@@ -103,7 +95,6 @@ class Finding:
     location: Optional[str] = None
     suppressed: bool = False
     justification: Optional[str] = None
-    weight: float = 0.0
 
     @property
     def code(self) -> str:
@@ -131,7 +122,6 @@ class Finding:
             "location": self.location,
             "suppressed": self.suppressed,
             "justification": self.justification,
-            "weight": self.weight,
         }
 
 

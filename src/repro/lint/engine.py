@@ -25,8 +25,6 @@ from . import units_rules as _units_rules  # noqa: F401
 from . import rng_rules as _rng_rules  # noqa: F401
 from . import artifact_rules as _artifact_rules  # noqa: F401
 from . import service_rules as _service_rules  # noqa: F401
-from . import concurrency_rules as _concurrency_rules  # noqa: F401
-from . import perf_rules as _perf_rules  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -146,14 +144,11 @@ class LintEngine:
         return LintReport(findings=tuple(findings), passes=tuple(selected))
 
 
-def _finding_order(finding: Finding) -> Tuple[int, float, str, str, str, bool]:
+def _finding_order(finding: Finding) -> Tuple[int, str, str, str, bool]:
     # A *total* order: the sharded runner merges per-shard reports by
     # re-sorting, so ties must break on content, never on arrival order.
-    # Profiled weight ranks within a severity (heavier first); unprofiled
-    # findings all carry 0.0, which preserves the historical ordering.
     return (
         -finding.severity.rank,
-        -finding.weight,
         finding.code,
         finding.location or "",
         finding.message,

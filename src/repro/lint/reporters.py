@@ -25,7 +25,7 @@ from .engine import LintReport
 MAX_SHOWN_PER_RULE = 5
 
 #: Schema version of the JSON report.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 #: SARIF version / schema the reporter emits.
 SARIF_VERSION = "2.1.0"
@@ -88,8 +88,6 @@ def _format_finding(finding: Finding) -> str:
     tag = "suppressed" if finding.suppressed else finding.severity.value
     where = f" [{finding.location}]" if finding.location else ""
     text = f"{finding.code} {tag:<10} {finding.name}{where}: {finding.message}"
-    if finding.weight > 0.0:
-        text += f" (measured: {finding.weight:.3f}s)"
     if finding.suppressed and finding.justification:
         text += f" (justification: {finding.justification})"
     return text
@@ -191,8 +189,6 @@ def _sarif_result(
         }]
     elif location:
         result["message"] = {"text": f"{message} (at {location})"}
-    if finding.weight > 0.0:
-        result["properties"] = {"measuredSeconds": finding.weight}
     if finding.suppressed:
         result["suppressions"] = [{
             "kind": "inSource",

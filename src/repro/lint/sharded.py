@@ -11,8 +11,7 @@ report is bitwise identical for any ``--jobs N``, including ``N=1``.
 The economics differ from the MC runner: each worker pays the full
 parse-and-graph cost and parallelism only divides the per-module rule
 work, so speedups are modest.  The value is the contract — lint output
-that cannot depend on scheduling — plus dogfooding: this module's own
-``pool.submit`` site is analyzed by the fork-boundary pass it helps run.
+that cannot depend on scheduling.
 
 Failure policy is inherited too: if the pool cannot be built or breaks,
 emit :class:`~repro.parallel.runner.ParallelExecutionWarning` and rerun
@@ -132,7 +131,7 @@ def _run_pool(
     results: List[Tuple[Finding, ...]] = [()] * len(shards)
     with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
         futures = {
-            pool.submit(task, shard): i for i, shard in enumerate(shards)  # lint: ignore[RPR804] _ShardLintTask is a frozen picklable dataclass by construction
+            pool.submit(task, shard): i for i, shard in enumerate(shards)
         }
         done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
         for future in not_done:

@@ -144,7 +144,7 @@ def _run_serial(
 ) -> List[T]:
     """In-process execution with the same per-shard spans as the pool."""
     results: List[T] = []
-    for shard in plan.shards:  # lint: ignore[RPR901] shard fan-out is the parallel boundary itself: a handful of coarse tasks
+    for shard in plan.shards:
         with tele.span("mc.shard", shard=shard.index, samples=shard.n_samples):
             tele.counter("mc_shards_total").inc()
             tele.counter("mc_samples_total").inc(shard.n_samples)
@@ -167,7 +167,7 @@ def _run_pool(
     results: List[object] = [None] * plan.n_shards
     queue_start = tele.now() if ctx is not None else 0.0
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(submit, shard): shard.index for shard in plan.shards}  # lint: ignore[RPR804] run_sharded's documented contract requires a picklable task
+        futures = {pool.submit(submit, shard): shard.index for shard in plan.shards}
         done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
         for future in not_done:
             future.cancel()
@@ -179,7 +179,7 @@ def _run_pool(
     # order the metrics contract requires — and unwrap the values.
     values: List[T] = []
     startup_hist = tele.registry.histogram(WORKER_STARTUP_SECONDS)
-    for shard, envelope in zip(plan.shards, results):  # lint: ignore[RPR901] deterministic shard-order merge over a handful of envelopes
+    for shard, envelope in zip(plan.shards, results):
         assert isinstance(envelope, _ShardEnvelope)
         offset = tele.absorb(
             envelope.telemetry,

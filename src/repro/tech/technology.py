@@ -284,4 +284,4 @@ def get_technology(name: str = "ptm100") -> Technology:
 def _ensure_presets() -> None:
     if not _PRESETS:
         for tech in (_make_ptm100(), _make_ptm130(), _make_ptm70()):
-            _PRESETS[tech.name] = tech  # lint: ignore[RPR801] lazy one-shot preset init; contents never change after first fill
+            _PRESETS[tech.name] = tech

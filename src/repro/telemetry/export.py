@@ -155,7 +155,7 @@ def render_prometheus(snapshot: RegistrySnapshot) -> str:
         for sample in samples:
             if kind == "histogram":
                 cumulative = 0
-                for bound, count in zip(sample.buckets, sample.bucket_counts):  # lint: ignore[RPR901] a histogram has a dozen buckets; text rendering is string work, not a numeric axis
+                for bound, count in zip(sample.buckets, sample.bucket_counts):
                     cumulative += count
                     suffix = _label_suffix(sample.labels, f'le="{bound:g}"')
                     lines.append(f"{metric}_bucket{suffix} {cumulative}")

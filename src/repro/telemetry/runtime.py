@@ -465,11 +465,11 @@ def activate(tele: Telemetry) -> Iterator[Telemetry]:
         previous: Union[Telemetry, NullTelemetry] = NULL_TELEMETRY
     else:
         previous = _ACTIVE
-    _ACTIVE = tele  # lint: ignore[RPR801] activate() is the sanctioned mutation point of the session singleton
+    _ACTIVE = tele
     try:
         yield tele
     finally:
-        _ACTIVE = previous  # lint: ignore[RPR801] restore path of the sanctioned mutation point
+        _ACTIVE = previous
 
 
 @contextmanager

@@ -126,7 +126,7 @@ def run_ssta(
             if fanins.size == 0:
                 arrivals[i] = delays[i]
                 continue
-            shares = np.ones(fanins.size)  # lint: ignore[RPR902] each gate retains its own shares array in merge_shares; the allocation is the product, not scratch
+            shares = np.ones(fanins.size)
             acc = arrivals[int(fanins[0])]
             for k in range(1, fanins.size):
                 acc, tightness = acc.maximum_with_tightness(

@@ -24,9 +24,10 @@ the machine-readable records this repo commits —
   runtime, and the committed numbers must still back the stated
   tolerance claim for the pinned (histogram, mc) backends.
 
-Only committed artifacts are checked — regenerating them with the bench
-suite rewrites the files, and these tests then hold the new copies to
-the same contract.
+A missing artifact is a failure, not a skip: a claim the docs make
+about a record nobody committed is an unbacked claim.  Regenerating the
+records with the bench suite rewrites the files, and these tests then
+hold the new copies to the same contract.
 """
 
 import json
@@ -41,7 +42,7 @@ RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 def load(name):
     path = RESULTS / name
     if not path.exists():
-        pytest.skip(f"{name} not committed")
+        pytest.fail(f"{name} is not committed under benchmarks/results/")
     return json.loads(path.read_text())
 
 

@@ -194,9 +194,11 @@ def test_lint_all_benchmarks_zero_errors(capsys):
 def test_lint_json_round_trips(capsys):
     import json
 
+    from repro.lint import JSON_SCHEMA_VERSION
+
     assert main(["lint", "c432", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 1
+    assert payload["version"] == JSON_SCHEMA_VERSION == 2
     assert payload["passes"] == ["circuit", "technology", "config"]
     assert payload["summary"]["errors"] == 0
     for finding in payload["findings"]:

@@ -386,40 +386,6 @@ class TestResultSurface:
         y_hist = strategy("histogram").evaluate_yield()
         assert y_hist == pytest.approx(y_clark, abs=0.03)
 
-    def test_engine_spans_are_hot_path_roots(self):
-        # The perf lint's hot-path attribution must see the new kernels:
-        # every engine span is a string-literal site the AST inventory
-        # discovers, and the convolution kernels are reachable from it.
-        from pathlib import Path
-
-        import repro
-        from repro.lint.analysis import (
-            CallGraph,
-            HotPathAnalysis,
-            ModuleIndex,
-            PackageSymbols,
-        )
-
-        root = Path(repro.__file__).parent
-        symbols = PackageSymbols(ModuleIndex.load(root))
-        hot = HotPathAnalysis(symbols, CallGraph.build(symbols))
-        names = hot.span_names()
-        for span in (
-            "engine.histogram.run",
-            "engine.histogram.convolve",
-            "engine.histogram.finish",
-            "engine.mc.run",
-            "engine.pipeline.run",
-        ):
-            assert span in names, span
-        via = hot.hot_via()
-        for kernel in (
-            "repro.engines.histogram._lattice_sum",
-            "repro.engines.histogram._lattice_max",
-            "repro.engines.histogram.propagate_lattice",
-        ):
-            assert "engine.histogram.convolve" in via.get(kernel, ()), kernel
-
     def test_engines_agree_on_yield(self, c432, varmodel_c432):
         # Every backend answers the same question; at a moderate margin
         # they must agree to MC noise + discretization error.

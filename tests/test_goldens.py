@@ -1,0 +1,97 @@
+"""Frozen outputs of the paper's headline comparisons on c432 and c880.
+
+``tests/goldens/paper_claims.json`` holds the figures this module's
+:func:`compute_goldens` produced when the file was last written:
+
+* **T3** — :func:`run_comparison` (deterministic vs statistical flow at
+  the deterministic flow's target delay): mean and 95th-percentile
+  leakage and timing yield of both results, plus the target delay;
+* **F3** — the SSTA circuit-delay mean and sigma, and the mean, sigma
+  and 95th percentile of a 2000-die Monte-Carlo STA at seed 17.
+
+Every figure must match to 1e-9 relative, so a refactor that claims no
+output moved is checked rather than asserted.  A missing file fails.
+After a deliberate change to the numbers, rewrite the file with::
+
+    PYTHONPATH=src python tests/test_goldens.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.experiments import prepare, run_comparison
+from repro.timing import run_monte_carlo_sta, run_ssta
+
+GOLDENS = Path(__file__).resolve().parent / "goldens" / "paper_claims.json"
+CIRCUITS = ("c432", "c880")
+MC_SAMPLES = 2000
+MC_SEED = 17
+REL = 1e-9
+
+
+def t3_figures(name):
+    """Deterministic vs statistical optimization at a shared target."""
+    row = run_comparison(prepare(name))
+    figures = {"target_delay": row.target_delay}
+    for flow, result in (("det", row.deterministic), ("stat", row.statistical)):
+        figures[f"{flow}_mean_leakage"] = result.after.mean_leakage
+        figures[f"{flow}_p95_leakage"] = result.after.p95_leakage
+        figures[f"{flow}_yield"] = result.after.timing_yield
+    return figures
+
+
+def f3_figures(name):
+    """SSTA circuit-delay moments against a seeded Monte-Carlo STA."""
+    setup = prepare(name)
+    ssta = run_ssta(setup.circuit, setup.varmodel)
+    mc = run_monte_carlo_sta(
+        setup.circuit, setup.varmodel, n_samples=MC_SAMPLES, seed=MC_SEED
+    )
+    return {
+        "ssta_mean": ssta.circuit_delay.mean,
+        "ssta_sigma": ssta.circuit_delay.sigma,
+        "mc_mean": mc.mean,
+        "mc_sigma": mc.std,
+        "mc_p95": mc.percentile(0.95),
+    }
+
+
+SECTIONS = {"T3": t3_figures, "F3": f3_figures}
+
+
+def compute_goldens():
+    return {
+        section: {name: figures(name) for name in CIRCUITS}
+        for section, figures in SECTIONS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    if not GOLDENS.exists():
+        pytest.fail(f"{GOLDENS.name} is missing; regenerate it (see module docstring)")
+    return json.loads(GOLDENS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+@pytest.mark.parametrize("name", CIRCUITS)
+def test_figures_match_golden(goldens, section, name):
+    expected = goldens[section][name]
+    actual = SECTIONS[section](name)
+    assert sorted(actual) == sorted(expected)
+    drifted = {
+        key: (expected[key], actual[key])
+        for key in expected
+        if actual[key] != pytest.approx(expected[key], rel=REL, abs=0.0)
+    }
+    assert not drifted, f"{section} {name} drifted (golden, now): {drifted}"
+
+
+if __name__ == "__main__":
+    from repro.atomicio import atomic_write_json
+
+    GOLDENS.parent.mkdir(exist_ok=True)
+    atomic_write_json(GOLDENS, compute_goldens())
+    print(f"wrote {GOLDENS}")

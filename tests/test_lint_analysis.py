@@ -117,10 +117,8 @@ class TestModuleIndex:
 
         monkeypatch.setattr(modules_module.ast, "parse", counting_parse)
         report = run_lint(LintContext(source_root=pkg))
-        assert report.passes == (
-            "codebase", "units", "rng", "artifacts", "concurrency", "perf",
-        )
-        assert len(calls) == 4  # one per .py file, despite six passes
+        assert report.passes == ("codebase", "units", "rng", "artifacts")
+        assert len(calls) == 4  # one per .py file, despite four passes
 
 
 # -- symbols + call graph -----------------------------------------------------

@@ -202,3 +202,27 @@ def test_real_source_tree_has_no_active_errors_or_warnings():
         if finding.suppressed:
             assert finding.justification
             assert finding.justification != "suppressed without justification"
+
+
+def test_real_source_tree_pragmas_name_registered_rules():
+    """Every inline pragma under src/repro names a rule that still exists.
+
+    The engine accepts unknown pragma codes silently, so a pragma left
+    behind by a retired rule (or a docstring that happens to parse as
+    one) would otherwise linger forever.
+    """
+    from pathlib import Path
+
+    import repro
+    from repro.lint import REGISTRY
+    from repro.lint.analysis import collect_pragmas
+
+    root = Path(repro.__file__).parent
+    registered = set(REGISTRY.codes())
+    unknown = []
+    for path in sorted(root.rglob("*.py")):
+        pragmas = collect_pragmas(path.read_text(encoding="utf-8"))
+        for line, (codes, _why) in sorted(pragmas.items()):
+            for code in sorted(codes - registered):
+                unknown.append(f"{path.relative_to(root.parent)}:{line} {code}")
+    assert not unknown, unknown

@@ -93,8 +93,7 @@ class TestRegistry:
         prefix = {"circuit": "RPR1", "technology": "RPR2",
                   "config": "RPR3", "codebase": "RPR4",
                   "units": "RPR5", "rng": "RPR6",
-                  "artifacts": "RPR7", "concurrency": "RPR8",
-                  "perf": "RPR9"}
+                  "artifacts": "RPR7"}
         for rule in REGISTRY:
             assert rule.code.startswith(prefix[rule.pass_name]), rule.code
 

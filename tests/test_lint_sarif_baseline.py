@@ -312,7 +312,7 @@ class TestCli:
         assert "still match" in capsys.readouterr().out
         # a dead entry fails verify, prune drops it, verify passes again
         payload = json.loads(baseline.read_text())
-        payload["entries"].append("RPR801::repro/ghost.py::never existed")
+        payload["entries"].append("RPR402::repro/ghost.py::never existed")
         baseline.write_text(json.dumps(payload))
         assert main([
             "lint", "baseline", "verify", "--baseline", str(baseline),
@@ -333,18 +333,9 @@ class TestCli:
 
     def test_jobs_output_matches_serial(self, capsys):
         assert main(["lint", "--self", "--format", "json",
-                     "--passes", "concurrency"]) == 0
+                     "--passes", "codebase"]) == 0
         serial = capsys.readouterr().out
+        assert json.loads(serial)["findings"]
         assert main(["lint", "--self", "--format", "json",
-                     "--passes", "concurrency", "--jobs", "3"]) == 0
+                     "--passes", "codebase", "--jobs", "3"]) == 0
         assert capsys.readouterr().out == serial
-
-    def test_effects_summary(self, capsys):
-        assert main(["lint", "--effects", "runner.run_sharded"]) == 0
-        out = capsys.readouterr().out
-        assert "repro.parallel.runner.run_sharded:" in out
-        assert "does-io" in out
-
-    def test_effects_unknown_function_fails(self, capsys):
-        assert main(["lint", "--effects", "nope_not_a_function"]) == 1
-        assert "no call-graph node" in capsys.readouterr().err

@@ -24,10 +24,9 @@ def pkg(tmp_path):
     files = {
         "__init__.py": "",
         "a.py": """
-            CACHE = {}
-
-            def put(key, value):
-                CACHE[key] = value
+            def save(report):
+                with open("report.json", "w") as fh:
+                    fh.write(report)
         """,
         "b.py": """
             import numpy as np
@@ -36,14 +35,17 @@ def pkg(tmp_path):
                 return np.random.default_rng().normal()
         """,
         "c.py": """
+            import numpy as np
+
             from .b import draw
 
             def render():
+                np.random.shuffle([1, 2])
                 return draw()
         """,
         "d.py": """
-            def delay_ps(x):
-                return x
+            def delay_ps(delay_ns):
+                return delay_ns
         """,
     }
     for rel, source in files.items():
@@ -80,14 +82,11 @@ class TestBitwiseEquality:
 
     def test_pass_selection_forwarded(self, pkg):
         options = LintOptions()
-        sharded = run_lint_sharded(
-            pkg, options, passes=("concurrency",), n_jobs=2
-        )
-        assert sharded.passes == ("concurrency",)
-        assert all(f.code.startswith("RPR8") for f in sharded.findings)
-        serial = run_lint(
-            LintContext(source_root=pkg), passes=("concurrency",)
-        )
+        sharded = run_lint_sharded(pkg, options, passes=("rng",), n_jobs=2)
+        assert sharded.passes == ("rng",)
+        assert sharded.findings
+        assert all(f.code.startswith("RPR6") for f in sharded.findings)
+        serial = run_lint(LintContext(source_root=pkg), passes=("rng",))
         assert sharded.findings == serial.findings
 
     def test_paths_narrowing_matches_serial(self, pkg):

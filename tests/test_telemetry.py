@@ -1,6 +1,8 @@
 """The telemetry subsystem: metrics, spans, worker absorption, exports."""
 
 import json
+import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -220,6 +222,38 @@ class TestActivation:
                 assert get_telemetry() is worker
             # Nothing sane to restore: the stale copy belongs elsewhere.
             assert get_telemetry() is NULL_TELEMETRY
+
+
+def _forked_child(inherited):
+    """Runs in a real fork()ed child of a traced parent; exit code is the verdict."""
+    if get_telemetry() is not NULL_TELEMETRY:
+        raise SystemExit(2)
+    with get_telemetry().span("child.work"):
+        pass
+    # The inherited copy belongs to the parent: closing it here (as an
+    # atexit hook or a GC-triggered context exit might) must write nothing.
+    inherited.close()
+
+
+class TestRealFork:
+    def test_forked_child_is_isolated_from_parent_session(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        fork = multiprocessing.get_context("fork")
+        with telemetry_session(path=path) as tele:
+            with tele.span("parent.work"):
+                child = fork.Process(target=_forked_child, args=(tele,))
+                child.start()
+                child.join(timeout=60)
+                if child.is_alive():
+                    child.kill()
+            assert child.exitcode == 0
+            assert not path.exists()
+        events = read_events(path)
+        headers = [e for e in events if e["type"] == "meta"]
+        assert len(headers) == 1
+        assert headers[0]["pid"] == os.getpid()
+        spans = [e["name"] for e in events if e["type"] == "span"]
+        assert spans == ["parent.work"]
 
 
 class TestContextBinding:
