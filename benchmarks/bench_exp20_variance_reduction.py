@@ -1,4 +1,4 @@
-"""P2 — variance-reduced yield estimators: samples-to-target-CI curves.
+"""P3 — variance-reduced yield estimators: samples-to-target-CI curves.
 
 The paper's optimization loop re-estimates timing yield thousands of
 times, so the cost of one yield evaluation is set by how many MC dies a
@@ -113,7 +113,7 @@ def bench_exp20_variance_reduction(benchmark):
              "var. reduction", f"dies for +/-{CI_HALFWIDTH:.0%} CI"],
             rows,
             title=(
-                f"P2: variance-reduced yield estimators at {n_ref} dies, "
+                f"P3: variance-reduced yield estimators at {n_ref} dies, "
                 f"seed {SEED} (samples-to-CI from 1/sqrt(n) scaling of "
                 f"the reported standard error)"
             ),

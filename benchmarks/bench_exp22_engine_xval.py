@@ -1,4 +1,4 @@
-"""P2 — engine cross-validation: every SSTA backend vs MC ground truth.
+"""S2 — engine cross-validation: every SSTA backend vs MC ground truth.
 
 The engine registry (:mod:`repro.engines`) promises that ``clark``,
 ``histogram``, and ``mc`` answer the same question — P(max delay <= T)
@@ -138,7 +138,7 @@ def bench_exp22_engine_xval(benchmark):
              "max yield err", "runtime"],
             rows,
             title=(
-                f"P2: engine cross-validation vs {TRUTH_SAMPLES}-die MC "
+                f"S2: engine cross-validation vs {TRUTH_SAMPLES}-die MC "
                 f"truth (seed {TRUTH_SEED}) at margins "
                 f"{', '.join(f'{m:g}x' for m in MARGINS)} nominal mean"
             ),

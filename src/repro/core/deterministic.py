@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
 from ..circuit.netlist import Circuit
 from ..power.probability import gate_input_probabilities, signal_probabilities
-from ..power.leakage import gate_leakage_currents
+from ..power.leakage import GateLeakageMemo
 from ..tech.corners import ProcessCorner, slow_corner
 from ..tech.technology import VthClass
 from ..telemetry import get_telemetry
@@ -93,8 +94,14 @@ class DeterministicStrategy(ConstraintStrategy):
     def on_move_reverted(self, move: Move) -> None:
         self._tracker().notify(move.index, size_changed=move.kind == "size")
 
+    @cached_property
+    def _leakage(self) -> GateLeakageMemo:
+        """Nominal gate leakage, memoized for this run's objective calls."""
+        circuit = self.view.circuit
+        return GateLeakageMemo(circuit, gate_input_probabilities(circuit, self.probs))
+
     def objective(self) -> float:
-        return float(gate_leakage_currents(self.view.circuit, self.probs).sum())
+        return float(self._leakage.currents().sum())
 
     def move_allowed(self, state: _DetState, move: Move, delay_cost: float) -> bool:
         slack = float(state.sta.slacks[move.index])

@@ -24,6 +24,7 @@ import abc
 from typing import Dict, List, Set, Tuple
 
 from ..errors import InfeasibleConstraintError
+from ..power.leakage import GateLeakageMemo
 from ..telemetry import get_telemetry
 from ..timing.graph import TimingView
 from .config import OptimizerConfig
@@ -150,6 +151,7 @@ class GreedyEngine:
         self.strategy = strategy
         self.config = config
         self.gate_probs = gate_probs
+        self.leakage = GateLeakageMemo(view.circuit, gate_probs)
 
     def run(self) -> Tuple[List[PassRecord], int]:
         """Run to convergence; returns (pass records, total moves kept).
@@ -178,7 +180,8 @@ class GreedyEngine:
             with tele.span("opt.pass", flow=flow, index=pass_index) as pass_span:
                 with tele.span("opt.analyze", flow=flow):
                     state = self.strategy.analyze()
-                scored = self._collect_candidates(state, tabu)
+                with tele.span("opt.candidates", flow=flow):
+                    scored = self._collect_candidates(state, tabu)
                 tele.counter("opt_candidates_total", flow=flow).inc(len(scored))
                 if not scored:
                     break
@@ -195,13 +198,15 @@ class GreedyEngine:
                 tele.counter("opt_moves_reverted_total", flow=flow).inc(reverted)
                 pass_span.set(candidates=len(scored), applied=kept,
                               reverted=reverted)
+                with tele.span("opt.objective", flow=flow):
+                    objective = self.strategy.objective()
                 records.append(
                     PassRecord(
                         pass_index=pass_index,
                         candidates=len(scored),
                         applied=kept,
                         reverted=reverted,
-                        objective=self.strategy.objective(),
+                        objective=objective,
                     )
                 )
                 # A stalled pass keeps nothing: the local filter is letting
@@ -229,7 +234,7 @@ class GreedyEngine:
         ):
             if move.key() in tabu:
                 continue
-            gain = leakage_gain(self.view, move, self.gate_probs)
+            gain = leakage_gain(self.view, move, self.leakage)
             if gain <= 0.0:
                 continue
             delay_cost = own_delay_cost(self.view, move)

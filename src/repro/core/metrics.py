@@ -10,6 +10,7 @@ from ..power.leakage import analyze_leakage
 from ..power.statistical import analyze_statistical_leakage
 from ..tech.corners import ProcessCorner
 from ..tech.technology import VthClass
+from ..telemetry import get_telemetry
 from ..timing.graph import TimingView
 from ..timing.ssta import run_ssta
 from ..timing.sta import run_sta
@@ -33,15 +34,16 @@ def snapshot_metrics(
     produced numbers.
     """
     circuit: Circuit = view.circuit
-    nominal_sta = run_sta(view)
-    corner_sta = run_sta(view, corner=corner)
-    ssta = run_ssta(view, varmodel)
-    stat_leak = analyze_statistical_leakage(
-        circuit, varmodel, probs=probs,
-        derate_rdf_with_size=config.derate_rdf_with_size,
-    )
-    nominal_leak = analyze_leakage(circuit, probs=probs)
-    dynamic = analyze_dynamic_power(view)
+    with get_telemetry().span("opt.metrics"):
+        nominal_sta = run_sta(view)
+        corner_sta = run_sta(view, corner=corner)
+        ssta = run_ssta(view, varmodel)
+        stat_leak = analyze_statistical_leakage(
+            circuit, varmodel, probs=probs,
+            derate_rdf_with_size=config.derate_rdf_with_size,
+        )
+        nominal_leak = analyze_leakage(circuit, probs=probs)
+        dynamic = analyze_dynamic_power(view)
     counts = circuit.count_vth()
     n = circuit.n_gates
     return MetricsSnapshot(

@@ -21,8 +21,9 @@ constraint re-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
+from ..power.leakage import GateLeakageMemo
 from ..tech.technology import VthClass
 from ..timing.graph import TimingView
 
@@ -119,23 +120,17 @@ def fanin_cap_delta(view: TimingView, move: Move) -> float:
     return cell.input_cap(move.new_size) - cell.input_cap(gate.size)  # type: ignore[arg-type]
 
 
-def leakage_gain(
-    view: TimingView,
-    move: Move,
-    gate_probs: Mapping[str, tuple],
-) -> float:
+def leakage_gain(view: TimingView, move: Move, leakage: GateLeakageMemo) -> float:
     """Nominal leakage-current reduction from the move [A] (positive good).
 
-    Exact at the cell level: re-reads the state-weighted leakage table at
-    the move's target (size, vth).
+    Exact at the cell level: the state-weighted leakage at the move's
+    target (size, vth, length bias) minus the current one, both read
+    through the run's memo.
     """
-    gate = view.gates[move.index]
-    cell = view.cells[move.index]
-    probs = gate_probs[gate.name]
-    before = cell.leakage(gate.size, gate.vth, probs, delta_l=gate.length_bias)
+    before = leakage.current(move.index)
     old = apply_move(view, move)
     try:
-        after = cell.leakage(gate.size, gate.vth, probs, delta_l=gate.length_bias)
+        after = leakage.current(move.index)
     finally:
         revert_move(view, move, old)
     return before - after

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
 from ..circuit.netlist import Circuit
+from ..power.leakage import GateLeakageMemo
 from ..power.probability import gate_input_probabilities, signal_probabilities
 from ..power.statistical import analyze_statistical_leakage
 from ..tech.corners import slow_corner
@@ -147,12 +149,18 @@ class StatisticalStrategy(ConstraintStrategy):
             ssta = run_ssta(self.view, self.varmodel)
             return ssta.timing_yield(self.target_delay)
 
+    @cached_property
+    def _leakage(self) -> GateLeakageMemo:
+        """Nominal gate leakage, memoized for this run's objective calls."""
+        circuit = self.view.circuit
+        return GateLeakageMemo(circuit, gate_input_probabilities(circuit, self.probs))
+
     def objective(self) -> float:
         stat = analyze_statistical_leakage(
             self.view.circuit,
             self.varmodel,
-            probs=self.probs,
             derate_rdf_with_size=self.config.derate_rdf_with_size,
+            nominal_currents=self._leakage.currents(),
         )
         return stat.high_confidence_power(self.config.confidence_k)
 

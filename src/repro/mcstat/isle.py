@@ -70,7 +70,22 @@ def failure_shift(moments: DelayMoments, target_delay: float) -> np.ndarray:
     var = float(gs @ gs) + moments.indep_sigma * moments.indep_sigma
     if var <= 0.0:
         return np.zeros_like(gs)
-    mu = gs * ((target_delay - moments.mean) / var)
+    slack = target_delay - moments.mean
+    with np.errstate(invalid="ignore"):
+        mu = gs * (slack / var)
+    if not np.all(np.isfinite(mu)):
+        # A variance near the subnormal range makes slack / var overflow.
+        # Size the shift in log space instead: past the clip it is the
+        # clip along the sensitivities, and within it (gs * slack) / var
+        # stays finite.
+        norm_gs = math.hypot(*gs)
+        if norm_gs == 0.0:  # lint: ignore[RPR402] exact zero: no global direction to aim along
+            return np.zeros_like(gs)
+        log_norm = math.log(norm_gs) + math.log(abs(slack)) - math.log(var)
+        if log_norm > math.log(SHIFT_CLIP):
+            mu = gs / norm_gs * math.copysign(SHIFT_CLIP, slack)
+        else:
+            mu = gs * slack / var
     norm_mu = math.sqrt(float(mu @ mu))
     if norm_mu > SHIFT_CLIP:
         mu = mu * (SHIFT_CLIP / norm_mu)

@@ -2,6 +2,7 @@
 
 from .dynamic import DEFAULT_CLOCK_HZ, DynamicPower, analyze_dynamic_power
 from .leakage import (
+    GateLeakageMemo,
     LeakageBreakdown,
     analyze_leakage,
     gate_leakage_currents,
@@ -25,6 +26,7 @@ __all__ = [
     "DEFAULT_CLOCK_HZ",
     "DEFAULT_CONFIDENCE_K",
     "DynamicPower",
+    "GateLeakageMemo",
     "LeakageBreakdown",
     "MCLeakageResult",
     "StatisticalLeakage",

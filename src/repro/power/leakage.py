@@ -10,13 +10,14 @@ flow optimizes, and what experiment T2 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit.netlist import Circuit
+from ..circuit.netlist import Circuit, Gate
 from ..errors import PowerError
 from ..tech.corners import ProcessCorner
+from ..tech.technology import VthClass
 from .probability import signal_probabilities
 
 
@@ -62,15 +63,69 @@ def gate_leakage_currents(
     delta_v = corner.delta_vth0 if corner is not None else 0.0
     currents = np.empty(circuit.n_gates)
     for gate in circuit.indexed_gates():
-        cell = circuit.cell_of(gate)
-        input_probs = [probs[f] for f in gate.fanins]
-        # A deliberate length bias enters exactly like a process Leff
-        # shift: exponentially less leakage for a slightly longer channel.
-        currents[circuit.gate_index(gate.name)] = cell.leakage(
-            gate.size, gate.vth, input_probs,
-            delta_l=delta_l + gate.length_bias, delta_vth0=delta_v,
+        currents[circuit.gate_index(gate.name)] = _gate_current(
+            circuit, gate, [probs[f] for f in gate.fanins], delta_l, delta_v
         )
     return currents
+
+
+def _gate_current(
+    circuit: Circuit,
+    gate: Gate,
+    input_probs: Sequence[float],
+    delta_l: float = 0.0,
+    delta_v: float = 0.0,
+) -> float:
+    """Mean leakage current of one gate at its current state [A]."""
+    # A deliberate length bias enters exactly like a process Leff shift:
+    # exponentially less leakage for a slightly longer channel.
+    return circuit.cell_of(gate).leakage(
+        gate.size, gate.vth, input_probs,
+        delta_l=delta_l + gate.length_bias, delta_vth0=delta_v,
+    )
+
+
+class GateLeakageMemo:
+    """Nominal gate leakage currents, memoized by implementation state.
+
+    :meth:`Cell.leakage` walks all ``2**n`` input states in Python, and an
+    optimization run asks for the same (gate, size, Vth, length bias)
+    points thousands of times -- every candidate move's gain, every
+    objective evaluation.  This memo answers repeats from a dict, with
+    the values :func:`gate_leakage_currents` computes (no corner).
+
+    Scope it to one optimization run: input probabilities are fixed at
+    construction, and every state the run visits stays in the memo, so
+    a longer-lived one would grow without bound.
+
+    ``gate_probs`` maps each gate name to its input probabilities (as
+    :func:`~repro.power.probability.gate_input_probabilities` returns);
+    a gate's entry is read on its first miss.
+    """
+
+    def __init__(
+        self, circuit: Circuit, gate_probs: Mapping[str, Sequence[float]]
+    ) -> None:
+        circuit.freeze()
+        self._circuit = circuit
+        self._gates = circuit.indexed_gates()
+        self._gate_probs = gate_probs
+        self._memo: Dict[Tuple[int, float, VthClass, float], float] = {}
+
+    def current(self, index: int) -> float:
+        """Leakage current of gate ``index`` at its current state [A]."""
+        gate = self._gates[index]
+        key = (index, gate.size, gate.vth, gate.length_bias)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = _gate_current(
+                self._circuit, gate, self._gate_probs[gate.name]
+            )
+        return value
+
+    def currents(self) -> np.ndarray:
+        """Leakage current of every gate at its current state [A], dense order."""
+        return np.array([self.current(i) for i in range(len(self._gates))])
 
 
 def analyze_leakage(

@@ -84,12 +84,16 @@ def gate_log_leakage_terms(
     varmodel: VariationModel,
     probs: Optional[Mapping[str, float]] = None,
     relative_area: np.ndarray | float | None = None,
+    nominal_currents: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lognormal-sum ingredients for the current implementation state.
 
     Returns ``(log_means, global_loadings, indep_sigmas)`` aligned with the
     dense gate order, ready for
     :func:`repro.variation.lognormal.sum_of_lognormals`.
+    ``nominal_currents`` passes per-gate nominal leakage the caller
+    already holds (e.g. from a :class:`~repro.power.leakage.GateLeakageMemo`);
+    by default it is computed from ``probs``.
     """
     circuit.freeze()
     if varmodel.n_gates != circuit.n_gates:
@@ -97,7 +101,11 @@ def gate_log_leakage_terms(
             f"variation model covers {varmodel.n_gates} gates, "
             f"circuit has {circuit.n_gates}"
         )
-    nominal = gate_leakage_currents(circuit, probs)
+    nominal = (
+        gate_leakage_currents(circuit, probs)
+        if nominal_currents is None
+        else nominal_currents
+    )
     if np.any(nominal <= 0):
         raise PowerError("non-positive nominal gate leakage")
     s_l, s_v = circuit.library.log_leakage_sensitivities
@@ -114,19 +122,22 @@ def analyze_statistical_leakage(
     varmodel: VariationModel,
     probs: Optional[Mapping[str, float]] = None,
     derate_rdf_with_size: bool = True,
+    nominal_currents: Optional[np.ndarray] = None,
 ) -> StatisticalLeakage:
     """Full-chip statistical leakage at the current implementation state.
 
     ``derate_rdf_with_size`` mirrors the timing-side configuration: wider
-    gates see less RDF noise (sigma ~ 1/sqrt(size)).
+    gates see less RDF noise (sigma ~ 1/sqrt(size)).  ``nominal_currents``
+    is as for :func:`gate_log_leakage_terms`.
     """
-    if probs is None:
+    if probs is None and nominal_currents is None:
         probs = signal_probabilities(circuit)
     rel_area: np.ndarray | float | None = None
     if not derate_rdf_with_size:
         rel_area = 1.0
     log_means, loadings, indep = gate_log_leakage_terms(
-        circuit, varmodel, probs, relative_area=rel_area
+        circuit, varmodel, probs, relative_area=rel_area,
+        nominal_currents=nominal_currents,
     )
     summary = sum_of_lognormals(log_means, loadings, indep)
     return StatisticalLeakage(

@@ -1,8 +1,8 @@
 """Deterministic and statistical timing analysis (substrates S7/S8/S9)."""
 
-from .canonical import Canonical, maximum_of
+from .canonical import Canonical, CanonicalArray, maximum_of
 from .clark import max_moments, min_moments, norm_cdf, norm_pdf
-from .graph import TimingConfig, TimingView
+from .graph import LevelSchedule, TimingConfig, TimingView
 from .mc import (
     MCTimingResult,
     ProcessSamples,
@@ -27,7 +27,9 @@ from .yield_est import (
 
 __all__ = [
     "Canonical",
+    "CanonicalArray",
     "MCTimingResult",
+    "LevelSchedule",
     "MCYieldEstimate",
     "ProcessSamples",
     "SSTAResult",

@@ -16,12 +16,19 @@ literature): after a max, the independent remainders of the two operands
 are collapsed into a single fresh ``r``, so correlation carried purely by
 *path-local* randomness through reconvergent fanout is dropped.  The
 Monte-Carlo validation experiment (F3) quantifies exactly this gap.
+
+Many canonicals at once live in a :class:`CanonicalArray` (packed rows:
+mean, variance, independent sigma, sensitivities); indexing one yields a
+:class:`Canonical`.  :func:`max_rows` is the one Clark-max
+implementation: SSTA runs it over a whole rank of fanins, and
+:meth:`Canonical.maximum_with_tightness` over a single row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -118,13 +125,8 @@ class Canonical:
 
         The tightness is what criticality propagation consumes.
         """
-        mean, variance, tightness = max_moments(
-            self.mean, self.variance, other.mean, other.variance, self.covariance(other)
-        )
-        sens = tightness * self.sens + (1.0 - tightness) * other.sens
-        explained = float(sens @ sens)
-        indep = math.sqrt(max(variance - explained, 0.0))
-        return Canonical(mean, sens, indep), tightness
+        merged, tightness = max_rows(_packed(self), _packed(other))
+        return CanonicalArray(merged)[0], float(tightness[0])
 
     def minimum(self, other: "Canonical") -> "Canonical":
         """Clark min, re-expressed in canonical form.
@@ -150,6 +152,117 @@ class Canonical:
             f"Canonical(mean={self.mean:.4g}, sigma={self.sigma:.4g}, "
             f"indep={self.indep:.4g})"
         )
+
+
+class CanonicalArray:
+    """``n`` canonical forms packed row by row.
+
+    ``rows`` is one ``(n, 3 + k)`` float array whose columns are the
+    mean, the total variance (``sens . sens + indep^2``, carried so a
+    merge never recomputes it), the independent sigma, then the ``k``
+    global sensitivities; ``mean``, ``variance``, ``indep`` and ``sens``
+    are read-only views of those columns.  One row is one operand of a
+    batched merge, so gathering a batch of canonicals is a single fancy
+    index.  ``[i]`` yields the :class:`Canonical` of row ``i``, so callers
+    written against lists of canonicals keep working.
+    """
+
+    def __init__(self, rows: np.ndarray) -> None:
+        if rows.ndim != 2 or rows.shape[1] < 3:
+            raise TimingError(
+                f"packed canonical rows need shape (n, 3 + k), got {rows.shape}"
+            )
+        rows.flags.writeable = False
+        self.rows = rows
+
+    @classmethod
+    def from_parts(
+        cls, mean: np.ndarray, sens: np.ndarray, indep: np.ndarray
+    ) -> "CanonicalArray":
+        """Pack ``mean (n,)``, ``sens (n, k)`` and ``indep (n,)``."""
+        rows = np.empty((mean.shape[0], 3 + sens.shape[1]))
+        rows[:, 0] = mean
+        rows[:, 2] = indep
+        rows[:, 3:] = sens
+        rows[:, 1] = rowdot(rows[:, 3:], rows[:, 3:]) + indep * indep
+        return cls(rows)
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Mean of every row."""
+        return self.rows[:, 0]
+
+    @property
+    def variance(self) -> np.ndarray:
+        """Total variance of every row (globals + independent)."""
+        return self.rows[:, 1]
+
+    @property
+    def indep(self) -> np.ndarray:
+        """Independent sigma of every row."""
+        return self.rows[:, 2]
+
+    @property
+    def sens(self) -> np.ndarray:
+        """``(n, k)`` global sensitivities."""
+        return self.rows[:, 3:]
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, index: int) -> Canonical:
+        row = self.rows[index]
+        return Canonical(float(row[0]), row[3:], float(row[2]))
+
+    def __iter__(self) -> Iterator[Canonical]:
+        return (self[i] for i in range(len(self)))
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(n, k)`` matrices.
+
+    A stack of ``(1, k) @ (k, 1)`` products: NumPy evaluates each with the
+    same BLAS ``ddot`` as the 1-D ``a[i] @ b[i]``, so every entry is
+    bit-identical to it (``einsum`` sums in another order).
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def max_rows(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise Clark max of two packed canonical batches.
+
+    ``a`` and ``b`` are ``(m, 3 + k)`` rows in :class:`CanonicalArray`'s
+    layout.  Returns the merged rows -- their variance carried as
+    ``explained + indep^2``, the value :attr:`Canonical.variance` would
+    recompute -- and the tightness ``P(A >= B)`` per row.  Sensitivities
+    blend with the tightness; the independent part absorbs whatever
+    variance the blended globals do not explain.
+    """
+    sens_a, sens_b = a[:, 3:], b[:, 3:]
+    mean, variance, tightness = max_moments(
+        a[:, 0], a[:, 1], b[:, 0], b[:, 1], rowdot(sens_a, sens_b)
+    )
+    out = np.empty(a.shape)
+    sens = out[:, 3:]
+    np.multiply(tightness[:, None], sens_a, out=sens)
+    sens += (1.0 - tightness)[:, None] * sens_b
+    explained = rowdot(sens, sens)
+    unexplained = variance - explained
+    indep = np.sqrt(np.where(unexplained < 0.0, 0.0, unexplained))
+    out[:, 0] = mean
+    out[:, 1] = explained + indep * indep
+    out[:, 2] = indep
+    return out, tightness
+
+
+def _packed(c: Canonical) -> np.ndarray:
+    """One canonical as a single packed row."""
+    row = np.empty((1, 3 + c.sens.shape[0]))
+    row[0, 0] = c.mean
+    row[0, 1] = c.variance
+    row[0, 2] = c.indep
+    row[0, 3:] = c.sens
+    return row
 
 
 def maximum_of(canonicals: list[Canonical]) -> Canonical:

@@ -6,15 +6,25 @@ variables, compute the exact first two moments of their max and the
 *tightness probability* ``P(A > B)``, then re-approximate the max as
 Gaussian with those moments.
 
-Implemented with :mod:`math` scalar routines (erf/exp) rather than scipy —
-these run once per timing-graph edge and scalar math is ~20x faster than
-scipy's ufunc dispatch at size 1.
+:func:`max_moments` is elementwise over arrays, so canonical SSTA merges
+a whole rank's fanin column in one call; each element runs the scalar
+formula with :mod:`math` routines.  The moments are a handful of flops
+per merge -- the O(k) sensitivity work around them is what canonical SSTA
+batches (:func:`repro.timing.canonical.max_rows`) -- and :mod:`math`'s
+``erf``/``exp`` keep every result bit-identical to the scalar definition:
+NumPy/SciPy's vectorized versions differ in the last ulp on a sizeable
+share of inputs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Tuple, Union
+
+import numpy as np
+
+#: A scalar or a 1-D float array; :func:`max_moments` maps either to the same.
+FloatOrArray = Union[float, np.ndarray]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -38,13 +48,16 @@ def norm_pdf(x: float) -> float:
 
 
 def max_moments(
-    mean_a: float,
-    var_a: float,
-    mean_b: float,
-    var_b: float,
-    cov_ab: float,
-) -> Tuple[float, float, float]:
-    """Moments of ``max(A, B)`` for jointly Gaussian ``A, B``.
+    mean_a: FloatOrArray,
+    var_a: FloatOrArray,
+    mean_b: FloatOrArray,
+    var_b: FloatOrArray,
+    cov_ab: FloatOrArray,
+) -> Tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
+    """Moments of ``max(A, B)`` for jointly Gaussian ``A, B``, elementwise.
+
+    Arguments are scalars or equal-length 1-D arrays; scalars give float
+    results, arrays give arrays.
 
     Returns
     -------
@@ -64,6 +77,22 @@ def max_moments(
     When ``theta ~ 0`` the variables are (almost) perfectly correlated with
     equal variance: the max is simply whichever has the larger mean.
     """
+    if np.ndim(mean_a) == 0:
+        return _max_moments(mean_a, var_a, mean_b, var_b, cov_ab)
+    rows = [
+        _max_moments(*row)
+        for row in zip(
+            mean_a.tolist(), var_a.tolist(), mean_b.tolist(), var_b.tolist(),
+            cov_ab.tolist(),
+        )
+    ]
+    mean, variance, tightness = np.array(rows).reshape(-1, 3).T
+    return mean, variance, tightness
+
+
+def _max_moments(
+    mean_a: float, var_a: float, mean_b: float, var_b: float, cov_ab: float
+) -> Tuple[float, float, float]:
     theta_sq = var_a + var_b - 2.0 * cov_ab
     if theta_sq <= _THETA_REL_FLOOR * (var_a + var_b) or theta_sq <= 0.0:
         if mean_a >= mean_b:

@@ -2,10 +2,11 @@
 
 Samples whole dies from the :class:`~repro.variation.model.VariationModel`
 and runs a batched STA: one NumPy pass per levelized topological rank
-(:class:`LevelSchedule`), with every sampled die and every gate of a rank
-carried together as matrices.  Gate delays move with
-process exactly as the analytic models say (same first-order log-resistance
-shift with the quadratic correction), so MC-vs-SSTA differences isolate the
+(the view's :class:`~repro.timing.graph.LevelSchedule`), with every
+sampled die and every gate of a rank carried together as matrices.  Gate
+delays move with process exactly as the analytic models say (same
+first-order log-resistance shift with the quadratic correction), so
+MC-vs-SSTA differences isolate the
 *statistical* approximations (Clark max, collapsed reconvergent
 randomness) rather than device-model gaps.
 
@@ -24,7 +25,7 @@ exploits (fast dies leak most).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from ..parallel import (
 )
 from ..parallel.plan import SampleShard
 from ..variation.model import VariationModel
-from .graph import TimingConfig, TimingView
+from .graph import LevelSchedule, TimingConfig, TimingView
 
 
 @dataclass(frozen=True)
@@ -136,47 +137,6 @@ class MCTimingResult:
         return float(np.quantile(self.circuit_delays, q))
 
 
-@dataclass(frozen=True)
-class LevelSchedule:
-    """Levelized batch schedule for vectorized arrival propagation.
-
-    ``levels`` lists, rank by rank, that rank's gate indices plus a dense
-    fanin matrix padded with the sentinel column ``n_gates`` — a virtual
-    arrival pinned at ``-inf``, the identity of ``max``, so ragged fanin
-    counts batch into one exact reduction.  Rank 0 is the fanin-free
-    gates and carries an empty matrix.  Built once per run and shipped to
-    every shard worker (plain arrays, pickles cheaply).
-    """
-
-    n_gates: int
-    levels: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-
-    @classmethod
-    def build(cls, fanin_gates: Tuple[np.ndarray, ...]) -> "LevelSchedule":
-        """Rank every gate and pack per-rank index/fanin arrays.
-
-        The rank recurrence (one past the deepest fanin) is sequential
-        by construction — fanins precede their gate in topological
-        order — and runs once per MC run, not per die.
-        """
-        n = len(fanin_gates)
-        level = np.zeros(n, dtype=np.intp)
-        for i in range(n):
-            fanins = fanin_gates[i]
-            if fanins.size:
-                level[i] = level[fanins].max() + 1
-        levels = []
-        n_levels = int(level.max()) + 1 if n else 0
-        for rank in range(n_levels):
-            gates = np.flatnonzero(level == rank)
-            width = int(max((fanin_gates[g].size for g in gates), default=0))
-            matrix = np.full((gates.size, width), n, dtype=np.intp)
-            for row, g in enumerate(gates):
-                matrix[row, : fanin_gates[g].size] = fanin_gates[g]
-            levels.append((gates, matrix))
-        return cls(n_gates=n, levels=tuple(levels))
-
-
 def _propagate_arrivals(
     samples: ProcessSamples,
     nominal: np.ndarray,
@@ -267,7 +227,7 @@ class TimingKernel:
             sens_v=np.array(
                 [view.library.drive_model(v).d_lnr_d_deltavth for v in vths]
             ),
-            schedule=LevelSchedule.build(tuple(view.fanin_gates)),
+            schedule=view.schedule,
             po=view.primary_output_indices(),
             relative_area=np.asarray(view.rdf_relative_area(), dtype=float),
         )

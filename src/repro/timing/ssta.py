@@ -16,7 +16,9 @@ and accumulates these shares from the (virtual) sink to every gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -25,8 +27,8 @@ from ..circuit.netlist import Circuit
 from ..errors import TimingError
 from ..telemetry import get_telemetry
 from ..variation.model import VariationModel
-from .canonical import Canonical
-from .graph import TimingConfig, TimingView
+from .canonical import Canonical, CanonicalArray, max_rows, rowdot
+from .graph import LevelSchedule, TimingConfig, TimingView
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,21 @@ class SSTAResult:
     criticality:
         Per-gate probability of lying on the critical path.  Sums to ~1
         per structurally-independent sink cone (it is a path measure, not
-        a partition of unity over gates).
+        a partition of unity over gates).  Computed from the recorded
+        merge tightnesses on first access, so a run that only asks for
+        yield never pays for the backward pass.
     """
 
-    arrivals: List[Canonical]
+    arrivals: CanonicalArray
     gate_delay_means: np.ndarray
     circuit_delay: Canonical
-    criticality: np.ndarray
+    #: The structure the run propagated over (its backward scatter plan).
+    _schedule: LevelSchedule = field(repr=False, compare=False)
+    #: Per rank, per fanin column ``j >= 1``: the tightness of each merge
+    #: that folded column ``j`` into the rank's leading rows.
+    _tightness: List[List[np.ndarray]] = field(repr=False, compare=False)
+    _po: np.ndarray = field(repr=False, compare=False)
+    _po_shares: np.ndarray = field(repr=False, compare=False)
 
     def timing_yield(self, target_delay: float) -> float:
         """P(circuit delay <= target)."""
@@ -62,10 +72,18 @@ class SSTAResult:
         """The delay target that would be met with probability ``eta``."""
         return self.circuit_delay.percentile(eta)
 
+    @cached_property
+    def criticality(self) -> np.ndarray:
+        """Per-gate probability of lying on the critical path."""
+        with get_telemetry().span("ssta.criticality", gates=self._schedule.n_gates):
+            return _criticality(
+                self._schedule, self._tightness, self._po, self._po_shares
+            )
+
 
 def gate_delay_canonicals(
     view: TimingView, varmodel: VariationModel
-) -> List[Canonical]:
+) -> CanonicalArray:
     """Canonical delay of every gate at the current implementation state.
 
     ``d = d_nom * (1 + s_R·ΔlnR)`` first-order: the global sensitivity
@@ -79,25 +97,15 @@ def gate_delay_canonicals(
             f"circuit has {view.n_gates}"
         )
     delays = view.nominal_delays()
-    vths = view.vths()
     vth_indep = varmodel.vth_indep_for(view.rdf_relative_area())
-    drive = {v: view.library.drive_model(v) for v in set(vths)}
-    out: List[Canonical] = []
-    for i in range(view.n_gates):
-        model = drive[vths[i]]
-        d = float(delays[i])
-        sens = d * (
-            model.d_lnr_d_deltal * varmodel.l_loadings[i]
-            + model.d_lnr_d_deltavth * varmodel.vth_loadings[i]
-        )
-        indep = d * float(
-            np.hypot(
-                model.d_lnr_d_deltal * varmodel.l_indep,
-                model.d_lnr_d_deltavth * vth_indep[i],
-            )
-        )
-        out.append(Canonical(d, sens, indep))
-    return out
+    models = [view.library.drive_model(v) for v in view.vths()]
+    d_l = np.array([model.d_lnr_d_deltal for model in models])
+    d_v = np.array([model.d_lnr_d_deltavth for model in models])
+    sens = delays[:, None] * (
+        d_l[:, None] * varmodel.l_loadings + d_v[:, None] * varmodel.vth_loadings
+    )
+    indep = delays * np.hypot(d_l * varmodel.l_indep, d_v * vth_indep)
+    return CanonicalArray.from_parts(delays, sens, indep)
 
 
 def run_ssta(
@@ -105,7 +113,15 @@ def run_ssta(
     varmodel: VariationModel,
     config: Optional[TimingConfig] = None,
 ) -> SSTAResult:
-    """Run canonical SSTA at the circuit's current implementation state."""
+    """Run canonical SSTA at the circuit's current implementation state.
+
+    Arrivals propagate rank by rank over the view's
+    :class:`~repro.timing.graph.LevelSchedule`: every gate of a rank
+    folds its fanins through :func:`~repro.timing.canonical.max_rows`
+    one fanin column at a time, in fanin order, then adds its own delay.
+    Each gate sees exactly the operations a per-gate fold would apply, in
+    the same order, so every arrival is bit-identical to it.
+    """
     view = (
         circuit_or_view
         if isinstance(circuit_or_view, TimingView)
@@ -114,53 +130,114 @@ def run_ssta(
     tele = get_telemetry()
     tele.counter("ssta_runs_total").inc()
     with tele.span("ssta.run", gates=view.n_gates):
-        delays = gate_delay_canonicals(view, varmodel)
-        n = view.n_gates
-
-        arrivals: List[Canonical] = [None] * n  # type: ignore[list-item]
-        # merge_shares[i]: per-gate-fanin probability of being the max
-        # input, aligned with view.fanin_gates[i]; used by criticality.
-        merge_shares: List[np.ndarray] = [np.empty(0)] * n
-        for i in range(n):
-            fanins = view.fanin_gates[i]
-            if fanins.size == 0:
-                arrivals[i] = delays[i]
-                continue
-            shares = np.ones(fanins.size)
-            acc = arrivals[int(fanins[0])]
-            for k in range(1, fanins.size):
-                acc, tightness = acc.maximum_with_tightness(
-                    arrivals[int(fanins[k])]
-                )
-                shares[:k] *= tightness
-                shares[k] = 1.0 - tightness
-            arrivals[i] = acc.plus(delays[i])
-            merge_shares[i] = shares
-
-        po = view.primary_output_indices()
-        po_shares = np.ones(po.size)
-        sink = arrivals[int(po[0])]
-        for k in range(1, po.size):
-            sink, tightness = sink.maximum_with_tightness(arrivals[int(po[k])])
-            po_shares[:k] *= tightness
-            po_shares[k] = 1.0 - tightness
-
-        criticality = np.zeros(n)
-        criticality[po] += po_shares
-        for i in range(n - 1, -1, -1):
-            c = criticality[i]
-            if c == 0.0:  # lint: ignore[RPR402] exact zero skips gates off every critical path
-                continue
-            fanins = view.fanin_gates[i]
-            if fanins.size == 0:
-                continue
-            shares = merge_shares[i]
-            for k in range(fanins.size):
-                criticality[int(fanins[k])] += c * shares[k]
-
+        with tele.span("ssta.delays"):
+            delays = gate_delay_canonicals(view, varmodel)
+        with tele.span("ssta.propagate"):
+            arrivals, tightness = _propagate(view.schedule, delays)
+            po = view.primary_output_indices()
+            sink, po_shares = _fold_outputs(arrivals, po)
         return SSTAResult(
             arrivals=arrivals,
-            gate_delay_means=np.array([d.mean for d in delays]),
+            gate_delay_means=delays.mean.copy(),
             circuit_delay=sink,
-            criticality=criticality,
+            _schedule=view.schedule,
+            _tightness=tightness,
+            _po=po,
+            _po_shares=po_shares,
         )
+
+
+def _propagate(
+    schedule: LevelSchedule, delays: CanonicalArray
+) -> tuple[CanonicalArray, List[List[np.ndarray]]]:
+    """Forward pass: arrivals plus every merge's tightness, rank by rank.
+
+    Primary-input fanins arrive at a deterministic 0 and are not part of
+    the fold.
+    """
+    d = delays.rows
+    state = np.empty(d.shape)
+    tightness_by_rank: List[List[np.ndarray]] = []
+    for (gates, fanins), active in zip(schedule.levels, schedule.active):
+        tightness: List[np.ndarray] = []
+        tightness_by_rank.append(tightness)
+        width = fanins.shape[1]
+        if width == 0:
+            state[gates] = d[gates]
+            continue
+        acc = state[fanins[:, 0]]
+        for j in range(1, width):
+            rows = active[j]
+            acc[:rows], t = max_rows(acc[:rows], state[fanins[:rows, j]])
+            tightness.append(t)
+        # Canonical.plus: means and sensitivities add, independent parts
+        # add in quadrature.
+        gate_delays = d[gates]
+        acc[:, 0] += gate_delays[:, 0]
+        acc[:, 3:] += gate_delays[:, 3:]
+        acc[:, 2] = [
+            math.hypot(a, b)
+            for a, b in zip(acc[:, 2].tolist(), gate_delays[:, 2].tolist())
+        ]
+        acc[:, 1] = rowdot(acc[:, 3:], acc[:, 3:]) + acc[:, 2] * acc[:, 2]
+        state[gates] = acc
+    return CanonicalArray(state), tightness_by_rank
+
+
+def _fold_outputs(
+    arrivals: CanonicalArray, po: np.ndarray
+) -> tuple[Canonical, np.ndarray]:
+    """Clark-max the primary-output arrivals into the sink, in ``po`` order.
+
+    Returns the circuit delay and, per output, the probability that it
+    sets the max.  The fold is a chain -- each merge needs the previous
+    one -- so it runs one row at a time.
+    """
+    rows = arrivals.rows
+    po_shares = np.ones(po.size)
+    sink = rows[po[:1]]
+    for k in range(1, po.size):
+        sink, tightness = max_rows(sink, rows[po[k : k + 1]])
+        po_shares[:k] *= tightness[0]
+        po_shares[k] = 1.0 - tightness[0]
+    return CanonicalArray(sink)[0], po_shares
+
+
+def _criticality(
+    schedule: LevelSchedule,
+    tightness: List[List[np.ndarray]],
+    po: np.ndarray,
+    po_shares: np.ndarray,
+) -> np.ndarray:
+    """Backward pass: tightness shares accumulated from the sink.
+
+    A gate's share of fanin ``j`` is the probability that fanin ``j``
+    won its fold: ``1 - T_j`` times the tightness of every later merge.
+    Rank by rank from the outputs, a rank's gates receive their
+    consumers' contributions (all at higher ranks, already known) through
+    ``np.add.at`` in the schedule's ``backward`` order -- each gate's
+    terms summed in the order a sequential sweep by descending gate index
+    adds them, after its output share -- then pass ``criticality * share``
+    on to their own fanins.  ``np.add.at`` rather than fancy ``+=``: a
+    gate may list one fanin twice (``NAND(a, a)``), and ``+=`` would keep
+    only one of the two terms.
+    """
+    criticality = np.zeros(schedule.n_gates)
+    criticality[po] += po_shares
+    contributions = np.empty(schedule.n_slots)
+    for rank in range(len(schedule.levels) - 1, -1, -1):
+        gates, fanins = schedule.levels[rank]
+        edges, targets = schedule.backward[rank]
+        if edges.size:
+            np.add.at(criticality, targets, contributions[edges])
+        if fanins.size:
+            shares = np.ones(fanins.shape)
+            for j, t in enumerate(tightness[rank], start=1):
+                rows = t.size
+                shares[:rows, :j] *= t[:, None]
+                shares[:rows, j] = 1.0 - t
+            start = schedule.offsets[rank]
+            contributions[start : start + fanins.size] = (
+                criticality[gates][:, None] * shares
+            ).ravel()
+    return criticality

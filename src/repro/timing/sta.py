@@ -5,6 +5,10 @@ arrival times forward, required times backward, slacks, and the critical
 path.  Optionally evaluated at a :class:`~repro.tech.corners.ProcessCorner`
 — which is precisely how the deterministic baseline optimizer sees timing,
 and the pessimism the statistical flow removes.
+
+Both passes run rank by rank over the view's
+:class:`~repro.timing.graph.LevelSchedule`; ``max`` and ``min`` are exact,
+so the batched passes give the sequential per-gate sweeps' bits.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from ..circuit.netlist import Circuit
 from ..errors import TimingError
 from ..tech.corners import ProcessCorner
-from .graph import TimingConfig, TimingView
+from .graph import LevelSchedule, TimingConfig, TimingView
 
 
 @dataclass(frozen=True)
@@ -94,21 +98,13 @@ def run_sta(
         if isinstance(circuit_or_view, TimingView)
         else TimingView(circuit_or_view, config)
     )
-    n = view.n_gates
     delays = view.nominal_delays()
     if corner is not None:
         factors = corner_delay_factor(view, corner)
         vths = view.vths()
         delays = delays * np.array([factors[v] for v in vths])
 
-    arrivals = np.empty(n)
-    for i in range(n):
-        fanins = view.fanin_gates[i]
-        worst_in = float(arrivals[fanins].max()) if fanins.size else 0.0
-        # Primary-input fanins arrive at t=0; they only matter when they
-        # are the *only* fanins, in which case worst_in is already 0.
-        arrivals[i] = worst_in + delays[i]
-
+    arrivals = _arrival_times(view.schedule, delays)
     po = view.primary_output_indices()
     circuit_delay = float(arrivals[po].max())
     if target_delay is None:
@@ -116,16 +112,7 @@ def run_sta(
     if target_delay <= 0:
         raise TimingError(f"target delay must be positive, got {target_delay}")
 
-    required = np.full(n, math.inf)
-    required[po] = target_delay
-    for i in range(n - 1, -1, -1):
-        req_i = required[i]
-        if math.isinf(req_i):
-            continue
-        latest_input_arrival = req_i - delays[i]
-        for f in view.fanin_gates[i]:
-            if latest_input_arrival < required[f]:
-                required[f] = latest_input_arrival
+    required = _required_times(view.schedule, delays, po, target_delay)
     # Gates with no path to any primary output keep +inf required time;
     # clamp them to the target so slack stays finite (they are timing-
     # irrelevant, and lint flags them separately).
@@ -140,6 +127,57 @@ def run_sta(
         target_delay=float(target_delay),
         critical_path=tuple(critical),
     )
+
+
+def _arrival_times(schedule: LevelSchedule, delays: np.ndarray) -> np.ndarray:
+    """Forward pass, one rank at a time: ``max(fanin arrivals) + delay``.
+
+    Primary-input fanins arrive at t=0; they only matter when they are a
+    gate's *only* fanins, and then the gate's arrival is its own delay.
+    The padded fanin slots read the sentinel arrival ``-inf``, the
+    identity of ``max``; ``max`` is exact, so the result does not depend
+    on the order fanins are compared in.
+    """
+    n = schedule.n_gates
+    arrivals = np.full(n + 1, -np.inf)
+    for gates, fanins in schedule.levels:
+        if fanins.shape[1] == 0:
+            arrivals[gates] = delays[gates]
+            continue
+        worst = arrivals[fanins[:, 0]]
+        for j in range(1, fanins.shape[1]):
+            np.maximum(worst, arrivals[fanins[:, j]], out=worst)
+        arrivals[gates] = worst + delays[gates]
+    return arrivals[:n]
+
+
+def _required_times(
+    schedule: LevelSchedule,
+    delays: np.ndarray,
+    po: np.ndarray,
+    target_delay: float,
+) -> np.ndarray:
+    """Backward pass, one rank at a time from the outputs.
+
+    A rank's required times are final once every higher rank has passed
+    ``required - delay`` down to its fanins; ``np.minimum.at`` keeps every
+    term when a gate lists a fanin twice.  Padded slots write into a
+    sentinel entry that is dropped.  Gates with no path to an output stay
+    at ``+inf`` (and pass ``+inf`` on, which never lowers a minimum).
+    """
+    n = schedule.n_gates
+    required = np.full(n + 1, math.inf)
+    required[po] = target_delay
+    for gates, fanins in reversed(schedule.levels):
+        if fanins.shape[1] == 0:
+            continue
+        latest_input_arrival = required[gates] - delays[gates]
+        np.minimum.at(
+            required,
+            fanins.ravel(),
+            np.repeat(latest_input_arrival, fanins.shape[1]),
+        )
+    return required[:n]
 
 
 def _trace_critical_path(view: TimingView, arrivals: np.ndarray) -> List[str]:

@@ -6,7 +6,12 @@ from repro.analysis import prepare
 from repro.core import OptimizerConfig, optimize_statistical
 from repro.core.moves import Move, apply_move, candidate_moves, leakage_gain, own_delay_cost, revert_move
 from repro.errors import OptimizationError
-from repro.power import analyze_leakage, gate_input_probabilities, signal_probabilities
+from repro.power import (
+    GateLeakageMemo,
+    analyze_leakage,
+    gate_input_probabilities,
+    signal_probabilities,
+)
 from repro.timing import TimingView, run_sta
 
 
@@ -73,7 +78,7 @@ class TestMoves:
         probs = gate_input_probabilities(c17, signal_probabilities(c17))
         move = Move(index=0, kind="lbias", new_lbias=4e-9)
         assert own_delay_cost(view, move) > 0
-        assert leakage_gain(view, move, probs) > 0
+        assert leakage_gain(view, move, GateLeakageMemo(c17, probs)) > 0
 
 
 class TestOptimizer:

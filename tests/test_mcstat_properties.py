@@ -119,6 +119,20 @@ class TestFailureShift:
         slack = target - mean
         assert projection * slack >= 0.0
 
+    @pytest.mark.parametrize("s0, indep", [
+        (1.8041450816871174e-160, 0.0),  # var underflows to a subnormal
+        (1e-200, 1e-160),
+        (5e-324, 1e-155),
+    ])
+    def test_subnormal_variance_gives_a_finite_clipped_shift(self, s0, indep):
+        moments = DelayMoments(
+            mean=1.0, global_sens=np.array([s0, 0.0]), indep_sigma=indep
+        )
+        mu = failure_shift(moments, 2.0)
+        assert np.all(np.isfinite(mu))
+        assert math.sqrt(float(mu @ mu)) <= 4.0 * (1.0 + 1e-12)
+        assert mu[0] >= 0.0 and mu[1] == 0.0
+
     def test_zero_sensitivity_gives_zero_shift(self):
         moments = DelayMoments(
             mean=1.0, global_sens=np.zeros(2), indep_sigma=0.0

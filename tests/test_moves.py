@@ -11,7 +11,11 @@ from repro.core import (
     revert_move,
 )
 from repro.core.moves import Move
-from repro.power import gate_input_probabilities, signal_probabilities
+from repro.power import (
+    GateLeakageMemo,
+    gate_input_probabilities,
+    signal_probabilities,
+)
 from repro.tech import VthClass
 from repro.timing import TimingView
 
@@ -108,7 +112,7 @@ class TestLocalEstimates:
 class TestLeakageGain:
     def test_vth_swap_gain_positive_and_large(self, view, gate_probs):
         move = Move(index=0, kind="vth", new_vth=VthClass.HIGH)
-        gain = leakage_gain(view, move, gate_probs)
+        gain = leakage_gain(view, move, GateLeakageMemo(view.circuit, gate_probs))
         before = view.cells[0].mean_leakage(
             1.0, VthClass.LOW, gate_probs[view.gates[0].name]
         )
@@ -117,7 +121,7 @@ class TestLeakageGain:
     def test_downsize_gain_proportional(self, view, c17, gate_probs):
         c17.set_uniform(size=4.0)
         move = Move(index=0, kind="size", new_size=2.0)
-        gain = leakage_gain(view, move, gate_probs)
+        gain = leakage_gain(view, move, GateLeakageMemo(view.circuit, gate_probs))
         before = view.cells[0].mean_leakage(
             4.0, VthClass.LOW, gate_probs[view.gates[0].name]
         )

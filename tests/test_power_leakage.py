@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.power import (
+    GateLeakageMemo,
     analyze_leakage,
+    gate_input_probabilities,
     gate_leakage_currents,
     leakage_by_vth_class,
     signal_probabilities,
@@ -39,6 +41,29 @@ class TestGateCurrents:
         c432.set_uniform(size=2.0)
         doubled = gate_leakage_currents(c432).sum()
         assert doubled == pytest.approx(2 * base, rel=1e-9)
+
+
+class TestGateLeakageMemo:
+    def test_matches_fresh_currents_bitwise_across_states(self, c432):
+        probs = signal_probabilities(c432)
+        memo = GateLeakageMemo(c432, gate_input_probabilities(c432, probs))
+        rng = np.random.default_rng(5)
+        gates = c432.indexed_gates()
+        for _ in range(4):
+            for gate in gates:
+                gate.size = float(rng.choice(c432.library.sizes[:3]))
+                gate.vth = VthClass.HIGH if rng.random() < 0.5 else VthClass.LOW
+                gate.length_bias = float(rng.choice([0.0, 2e-9]))
+            fresh = gate_leakage_currents(c432, probs)
+            assert memo.currents().tobytes() == fresh.tobytes()
+            assert memo.current(3) == fresh[3]
+
+    def test_memos_do_not_share_state(self, c17):
+        probs = gate_input_probabilities(c17, signal_probabilities(c17))
+        first, second = GateLeakageMemo(c17, probs), GateLeakageMemo(c17, {})
+        first.currents()
+        with pytest.raises(KeyError):  # nothing cached for the second
+            second.current(0)
 
 
 class TestCorners:

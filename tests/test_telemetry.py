@@ -451,3 +451,33 @@ class TestTraceFile:
         assert rows[0][1] == 1  # count
         scalars = summarize_scalars(final_snapshot(records))
         assert ("n", {"kind": "x"}, 2.0) in scalars
+
+
+class TestOptimizeSpanCoverage:
+    #: Spans that only nest others; their self time is what no named
+    #: layer accounts for.
+    CONTAINERS = ("opt.flow", "opt.phase", "opt.pass")
+
+    def test_named_spans_cover_the_flow(self, tmp_path, c432, spec):
+        from repro.circuit import build_variation_model
+        from repro.core import optimize_statistical
+
+        varmodel = build_variation_model(c432, spec)
+        path = tmp_path / "trace.jsonl"
+        with telemetry_session(path=path):
+            optimize_statistical(c432, spec, varmodel)
+        spans = span_records(read_events(path))
+        covered_by_children = {}
+        for span in spans:
+            parent = span["parent_id"]
+            covered_by_children[parent] = covered_by_children.get(parent, 0.0) + span["dur"]
+        [flow] = [s for s in spans if s["name"] == "opt.flow"]
+        uncovered = sum(
+            s["dur"] - covered_by_children.get(s["span_id"], 0.0)
+            for s in spans
+            if s["name"] in self.CONTAINERS
+        )
+        names = {s["name"] for s in spans}
+        assert {"opt.candidates", "opt.objective", "ssta.delays",
+                "ssta.propagate", "ssta.criticality"} <= names
+        assert 1.0 - uncovered / flow["dur"] >= 0.95
