@@ -64,7 +64,6 @@ from .mcstat import ESTIMATOR_NAMES, YieldEstimate, get_estimator
 from .parallel import SampleShardPlan
 from .timing import (
     estimate_timing_yield,
-    mc_timing_yield,
     run_monte_carlo_sta,
     run_ssta,
     run_sta,
@@ -109,7 +108,6 @@ __all__ = [
     "load_bench",
     "load_spec",
     "make_benchmark",
-    "mc_timing_yield",
     "optimize_deterministic",
     "optimize_statistical",
     "parse_bench",

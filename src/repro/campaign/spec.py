@@ -69,14 +69,14 @@ class CampaignSpec:
         seed (0 samples disables the validation stage).
     mc_estimator:
         Yield-estimation strategy for the validation stage — one of
-        :data:`repro.mcstat.ESTIMATOR_NAMES` (``plain`` preserves the
-        historical frequency estimate bitwise).  Part of the campaign
-        fingerprint, so changing it invalidates cached MC artifacts.
+        :data:`repro.mcstat.ESTIMATOR_NAMES` (``plain`` counts the
+        validation dies themselves).  Part of the campaign fingerprint,
+        so changing it invalidates cached MC artifacts.
     engine:
         Statistical-timing engine for campaign analytics — one of
-        :data:`repro.engines.ENGINE_NAMES` (``clark`` preserves the
-        historical SSTA path bitwise).  Consumed by the pipeline task
-        kind; part of the campaign fingerprint.
+        :data:`repro.engines.ENGINE_NAMES` (``clark`` is the canonical
+        SSTA).  Consumed by the pipeline task kind; part of the campaign
+        fingerprint.
     pipeline_stages:
         When positive, schedule a ``pipeline`` task per benchmark: a
         K-stage sequential pipeline of that circuit analyzed for

@@ -76,12 +76,7 @@ from .core import (
     optimize_deterministic,
     optimize_statistical,
 )
-from .engines import (
-    DEFAULT_BINS,
-    ENGINE_NAMES,
-    get_engine,
-    validate_bins,
-)
+from .engines import DEFAULT_BINS, ENGINE_NAMES, get_engine
 from .errors import EngineError, ReproError
 from .lint import (
     PASS_NAMES,
@@ -116,9 +111,8 @@ from .telemetry import (
     summarize_spans,
     telemetry_session,
 )
-from .mcstat import ESTIMATOR_NAMES
+from .mcstat import ESTIMATOR_NAMES, binomial_estimate
 from .timing import (
-    MCYieldEstimate,
     estimate_timing_yield,
     run_monte_carlo_sta,
     run_ssta,
@@ -209,11 +203,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    params: dict = {"n_jobs": args.jobs}
+    if args.bins is not None:
+        if args.engine != "histogram":
+            raise EngineError(
+                "--bins only applies to the histogram engine; "
+                f"got --engine {args.engine}"
+            )
+        params["bins"] = args.bins
+    if args.engine == "mc":
+        params.update(n_samples=args.samples, seed=args.seed)
     lib, circuit = _resolve_circuit(args.circuit, args.tech)
     spec = default_variation(lib.tech.lnom)
     varmodel = build_variation_model(circuit, spec)
     sta = run_sta(circuit)
-    ssta = run_ssta(circuit, varmodel)
+    ref = get_engine(args.engine).analyze(circuit, varmodel, **params)
     stat = analyze_statistical_leakage(circuit, varmodel)
     target = ps(args.target_delay) if args.target_delay else 1.1 * sta.circuit_delay
 
@@ -226,11 +230,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         n_jobs=args.jobs, keep_samples=False,
     )
     if args.estimator == "plain":
-        # Historical path: yield read off the same dies as the table stats.
-        est = MCYieldEstimate(
-            timing_yield=timing_mc.timing_yield(target),
-            n_samples=args.samples,
-            target_delay=target,
+        # The plain estimate counts the dies the table stats come from.
+        est = binomial_estimate(
+            args.samples,
+            int((timing_mc.circuit_delays <= target).sum()),
+            target,
         )
     else:
         est = estimate_timing_yield(
@@ -238,57 +242,24 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             n_samples=args.samples, seed=args.seed, n_jobs=args.jobs,
             estimator=args.estimator,
         )
-    # The analytic reference column comes from the selected timing
-    # engine; the default "clark" reads the SSTA result directly, which
-    # keeps the historical output byte-for-byte.
     if args.engine == "clark":
-        if args.bins is not None:
-            raise EngineError(
-                "--bins only applies to the histogram engine; "
-                f"got --engine {args.engine}"
-            )
-        ref_label = "analytic"
-        ref_mean = ssta.circuit_delay.mean
-        ref_sigma = ssta.circuit_delay.sigma
-        ref_p95 = ssta.circuit_delay.percentile(0.95)
-        ref_yield = ssta.timing_yield(target)
-        title_engine = ""
+        ref_label, title_engine = "analytic", ""
     else:
-        engine_params: dict = {}
-        if args.engine == "histogram":
-            engine_params["bins"] = validate_bins(
-                args.bins if args.bins is not None else DEFAULT_BINS
-            )
-        elif args.bins is not None:
-            raise EngineError(
-                "--bins only applies to the histogram engine; "
-                f"got --engine {args.engine}"
-            )
-        if args.engine == "mc":
-            engine_params.update(
-                n_samples=args.samples, seed=args.seed, n_jobs=args.jobs
-            )
-        result = get_engine(args.engine).analyze(
-            circuit, varmodel, **engine_params
-        )
-        ref_label = args.engine
-        ref_mean = result.max_delay.mean
-        ref_sigma = result.max_delay.sigma
-        ref_p95 = result.max_delay.quantile(0.95)
-        ref_yield = result.yield_at(target)
-        title_engine = f", engine {args.engine}"
+        ref_label, title_engine = args.engine, f", engine {args.engine}"
     lo, hi = est.confidence_interval()
     print(
         format_table(
             ["metric", "Monte Carlo", ref_label],
             [
                 ["mean delay [ps]",
-                 picoseconds(timing_mc.mean), picoseconds(ref_mean)],
+                 picoseconds(timing_mc.mean),
+                 picoseconds(ref.max_delay.mean)],
                 ["sigma delay [ps]",
-                 picoseconds(timing_mc.std), picoseconds(ref_sigma)],
+                 picoseconds(timing_mc.std),
+                 picoseconds(ref.max_delay.sigma)],
                 ["p95 delay [ps]",
                  picoseconds(timing_mc.percentile(0.95)),
-                 picoseconds(ref_p95)],
+                 picoseconds(ref.max_delay.quantile(0.95))],
                 ["mean leakage [uW]",
                  microwatts(leak_mc.mean_power), microwatts(stat.mean_power)],
                 ["p95 leakage [uW]",
@@ -296,7 +267,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                  microwatts(stat.percentile_power(0.95))],
                 [f"yield @ {picoseconds(target)} ps",
                  f"{est.timing_yield:.4f}",
-                 f"{ref_yield:.4f}"],
+                 f"{ref.yield_at(target):.4f}"],
             ],
             title=(
                 f"{circuit.name}: {args.samples} samples, seed {args.seed}, "
@@ -930,17 +901,18 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--mc-yield", type=int, default=0, metavar="N",
         help="validate the yield constraint by N-sample sharded Monte "
-             "Carlo instead of the analytic SSTA CDF (0 = analytic)",
+             "Carlo instead of the engine's delay distribution "
+             "(0 = engine); needs --engine clark",
     )
     optimize.add_argument(
         "--estimator", choices=ESTIMATOR_NAMES, default="plain",
         help="variance-reduced MC strategy for --mc-yield checks "
-             "(plain = historical behavior)",
+             "(plain = frequency estimate)",
     )
     optimize.add_argument(
         "--engine", choices=ENGINE_NAMES, default="clark",
-        help="statistical-timing engine for analytic yield evaluation "
-             "(clark = historical behavior; ignored while --mc-yield > 0)",
+        help="statistical-timing engine for yield evaluation while "
+             "--mc-yield is 0 (clark = canonical SSTA)",
     )
     _telemetry_flag(optimize)
 
@@ -964,14 +936,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mc.add_argument(
         "--estimator", choices=ESTIMATOR_NAMES, default="plain",
-        help="variance-reduced yield estimator (plain = historical "
-             "frequency estimate; isle/sobol/cv need fewer samples for "
-             "the same confidence width)",
+        help="variance-reduced yield estimator (plain = frequency "
+             "estimate; isle/sobol/cv need fewer samples for the same "
+             "confidence width)",
     )
     mc.add_argument(
         "--engine", choices=ENGINE_NAMES, default="clark",
-        help="timing engine for the analytic reference column "
-             "(clark = historical SSTA output, byte-identical)",
+        help="timing engine for the reference column "
+             "(clark = canonical SSTA, labelled 'analytic')",
     )
     mc.add_argument(
         "--bins", type=int, default=None, metavar="N",

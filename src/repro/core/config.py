@@ -60,20 +60,21 @@ class OptimizerConfig:
     yield_mc_samples / yield_mc_seed:
         When ``yield_mc_samples > 0`` the statistical flow's exact
         feasibility check evaluates the timing yield by sharded Monte
-        Carlo at that sample count instead of the analytic SSTA CDF —
-        slower, but free of the Clark-max approximation.  The fixed seed
-        (common random numbers) keeps every re-validation comparable, so
-        the greedy accept/rollback decisions stay deterministic.
+        Carlo at that sample count instead of the SSTA CDF — slower, but
+        free of the Clark-max approximation.  The fixed seed (common
+        random numbers) keeps every re-validation comparable, so the
+        greedy accept/rollback decisions stay deterministic.  Requires
+        ``timing_engine == "clark"``: the sampled check replaces the
+        engine, so any other engine would go unused.
     yield_estimator:
         Which variance-reduced MC strategy the yield check uses when
         ``yield_mc_samples > 0`` (see :mod:`repro.mcstat`): ``plain``
-        (historical, bitwise-preserved), ``isle``, ``sobol``, or ``cv``.
+        (the frequency estimate), ``isle``, ``sobol``, or ``cv``.
         Every choice is bitwise deterministic for any ``n_jobs``.
     timing_engine:
-        Statistical-timing engine for the *analytic* yield evaluation
-        (used while ``yield_mc_samples == 0`` — see
-        :mod:`repro.engines`): ``clark`` (historical, bitwise-
-        preserved), ``histogram``, or ``mc``.
+        Statistical-timing engine the yield check reads while
+        ``yield_mc_samples == 0`` (see :mod:`repro.engines`): ``clark``
+        (canonical SSTA), ``histogram``, or ``mc``.
     """
 
     delay_margin: float = 1.10
@@ -153,4 +154,10 @@ class OptimizerConfig:
             raise OptimizationError(
                 f"timing_engine must be one of {ENGINE_NAMES}, "
                 f"got {self.timing_engine!r}"
+            )
+        if self.yield_mc_samples > 0 and self.timing_engine != "clark":
+            raise OptimizationError(
+                f"timing_engine {self.timing_engine!r} is unused when "
+                f"yield_mc_samples > 0 (got {self.yield_mc_samples}); "
+                "sampled yield checks need timing_engine 'clark'"
             )

@@ -31,6 +31,7 @@ from functools import cached_property
 from typing import Dict, Optional
 
 from ..circuit.netlist import Circuit
+from ..engines import get_engine
 from ..power.leakage import GateLeakageMemo
 from ..power.probability import gate_input_probabilities, signal_probabilities
 from ..power.statistical import analyze_statistical_leakage
@@ -40,7 +41,7 @@ from ..telemetry import get_telemetry
 from ..timing.graph import TimingConfig, TimingView
 from ..timing.ssta import SSTAResult, run_ssta
 from ..timing.sta import STAResult, run_sta
-from ..timing.yield_est import estimate_timing_yield, mc_timing_yield
+from ..timing.yield_est import estimate_timing_yield
 from ..variation.model import VariationModel
 from ..variation.parameters import VariationSpec
 from .config import OptimizerConfig
@@ -102,52 +103,37 @@ class StatisticalStrategy(ConstraintStrategy):
         return self.evaluate_yield() >= self.config.yield_target
 
     def evaluate_yield(self) -> float:
-        """Timing yield at the current state: SSTA, engine, or sharded MC.
+        """Timing yield at the current state: sampled MC, or an engine.
 
-        With ``yield_mc_samples > 0`` the exact constraint check runs the
-        parallel Monte-Carlo engine under common random numbers (fixed
-        seed): free of the Clark-max approximation, deterministic across
-        re-validations, and spread over ``config.n_jobs`` workers.
-        Otherwise the analytic check uses ``config.timing_engine`` —
-        ``clark`` keeps the historical :func:`run_ssta` path bitwise.
+        With ``yield_mc_samples > 0`` the exact constraint check runs
+        ``config.yield_estimator`` under common random numbers (fixed
+        seed): free of the Clark-max approximation and deterministic
+        across re-validations.  Otherwise the yield is read off
+        ``config.timing_engine``'s delay distribution.  Either way any
+        sampling is spread over ``config.n_jobs`` workers.
         """
         tele = get_telemetry()
-        if self.config.yield_mc_samples > 0:
-            estimator = self.config.yield_estimator
+        config = self.config
+        if config.yield_mc_samples > 0:
+            estimator = config.yield_estimator
             with tele.span("opt.yield_eval", mode="mc", estimator=estimator):
                 tele.counter("opt_yield_evals_total", mode="mc").inc()
-                if estimator == "plain":
-                    # Historical path, bitwise-preserved.
-                    return mc_timing_yield(
-                        self.view,
-                        self.varmodel,
-                        self.target_delay,
-                        n_samples=self.config.yield_mc_samples,
-                        seed=self.config.yield_mc_seed,
-                        n_jobs=self.config.n_jobs,
-                    ).timing_yield
                 return estimate_timing_yield(
                     self.view,
                     self.varmodel,
                     self.target_delay,
-                    n_samples=self.config.yield_mc_samples,
-                    seed=self.config.yield_mc_seed,
-                    n_jobs=self.config.n_jobs,
+                    n_samples=config.yield_mc_samples,
+                    seed=config.yield_mc_seed,
+                    n_jobs=config.n_jobs,
                     estimator=estimator,
                 ).timing_yield
-        engine = self.config.timing_engine
-        if engine != "clark":
-            # Alternate analytic backend (histogram lattice or MC engine).
-            with tele.span("opt.yield_eval", mode="engine", engine=engine):
-                tele.counter("opt_yield_evals_total", mode="engine").inc()
-                from ..engines import get_engine
-
-                result = get_engine(engine).analyze(self.view, self.varmodel)
-                return result.yield_at(self.target_delay)
-        with tele.span("opt.yield_eval", mode="ssta"):
-            tele.counter("opt_yield_evals_total", mode="ssta").inc()
-            ssta = run_ssta(self.view, self.varmodel)
-            return ssta.timing_yield(self.target_delay)
+        engine = config.timing_engine
+        with tele.span("opt.yield_eval", mode="engine", engine=engine):
+            tele.counter("opt_yield_evals_total", mode="engine").inc()
+            result = get_engine(engine).analyze(
+                self.view, self.varmodel, n_jobs=config.n_jobs
+            )
+            return result.yield_at(self.target_delay)
 
     @cached_property
     def _leakage(self) -> GateLeakageMemo:

@@ -3,18 +3,17 @@
 One interface — :class:`TimingEngine.analyze` — over three backends:
 
 ``clark``
-    The historical first-order canonical SSTA (Clark's two-moment
-    Gaussian max).  Bitwise identical to calling
-    :func:`repro.timing.ssta.run_ssta` directly.
+    First-order canonical SSTA (Clark's two-moment Gaussian max): one
+    :func:`repro.timing.ssta.run_ssta` call, bitwise its result.
 ``histogram``
     Distribution-shape-free lattice propagation: exact convolution sums
     and exact independent-max on a pinned bin grid, with the global
     (correlated) sensitivities carried analytically.  Deterministic per
     bin count, across reruns and worker counts.
 ``mc``
-    The sharded Monte-Carlo sampler as a first-class engine, reporting
-    empirical distributions whose yields and quantiles carry sampling
-    confidence intervals.
+    :func:`repro.timing.mc.run_monte_carlo_sta` as a first-class engine,
+    reporting an empirical distribution whose yields and quantiles carry
+    sampling confidence intervals.
 
 Engines resolve by name through :func:`get_engine` / the
 :data:`ENGINE_NAMES` registry (mirroring :mod:`repro.mcstat`'s
@@ -26,10 +25,8 @@ stages with shared inter-die variation.
 
 from ..errors import EngineError
 from .base import (
-    ENDPOINT_QUANTILES,
     DelayDistribution,
     EmpiricalDelay,
-    EndpointSummary,
     GaussianDelay,
     HistogramDelay,
     TimingEngine,
@@ -72,12 +69,10 @@ def get_engine(name: str) -> TimingEngine:
 
 __all__ = [
     "DEFAULT_BINS",
-    "ENDPOINT_QUANTILES",
     "ENGINE_NAMES",
     "ClarkEngine",
     "DelayDistribution",
     "EmpiricalDelay",
-    "EndpointSummary",
     "EngineError",
     "GaussianDelay",
     "HistogramDelay",

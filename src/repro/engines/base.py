@@ -2,12 +2,12 @@
 
 Every backend — Clark's analytic max, the histogram propagation, first-
 class Monte Carlo — answers the same questions through one result type:
-what is the max-delay distribution, what do the individual endpoints
-look like, and what yield does a clock target buy.  The distribution
-itself is polymorphic (:class:`GaussianDelay` / :class:`HistogramDelay`
-/ :class:`EmpiricalDelay`) so each backend reports in its native
-representation without forcing a lossy conversion, while callers that
-only need ``cdf``/``quantile`` stay backend-agnostic.
+what is the max-delay distribution, and what yield does a clock target
+buy.  The distribution itself is polymorphic (:class:`GaussianDelay` /
+:class:`HistogramDelay` / :class:`EmpiricalDelay`) so each backend
+reports in its native representation without forcing a lossy
+conversion, while callers that only need ``cdf``/``quantile`` stay
+backend-agnostic.
 """
 
 from __future__ import annotations
@@ -26,12 +26,8 @@ from ..timing.graph import TimingConfig, TimingView
 from ..timing.yield_est import degenerate_cdf, degenerate_quantile
 from ..variation.model import VariationModel
 
-#: Endpoint quantiles every backend reports.
-ENDPOINT_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
-
-
 class DelayDistribution(abc.ABC):
-    """A max-delay (or endpoint-delay) distribution, backend-native."""
+    """A max-delay distribution, backend-native."""
 
     @property
     @abc.abstractmethod
@@ -57,7 +53,7 @@ class GaussianDelay(DelayDistribution):
     """Canonical (Gaussian) delay — the Clark backend's native form.
 
     Pure delegation to :class:`~repro.timing.canonical.Canonical`, so
-    the adapter stays bitwise-identical to the historical SSTA path.
+    every query is bitwise the SSTA result's own.
     """
 
     canonical: Canonical
@@ -213,49 +209,13 @@ class EmpiricalDelay(DelayDistribution):
 
 
 @dataclass(frozen=True)
-class EndpointSummary:
-    """Per-endpoint (primary-output) arrival statistics."""
-
-    gate_index: int
-    mean: float
-    sigma: float
-    quantiles: Tuple[Tuple[float, float], ...]
-
-    def quantile(self, q: float) -> float:
-        """Look up one of the pre-computed endpoint quantiles."""
-        for level, value in self.quantiles:
-            if level == q:
-                return value
-        raise EngineError(
-            f"endpoint quantile {q} not reported; available: "
-            f"{', '.join(str(level) for level, _ in self.quantiles)}"
-        )
-
-
-def summarize_endpoint(
-    gate_index: int, dist: DelayDistribution
-) -> EndpointSummary:
-    """Standard endpoint record: moments plus the shared quantile set."""
-    return EndpointSummary(
-        gate_index=gate_index,
-        mean=dist.mean,
-        sigma=dist.sigma,
-        quantiles=tuple(
-            (q, dist.quantile(q)) for q in ENDPOINT_QUANTILES
-        ),
-    )
-
-
-@dataclass(frozen=True)
 class TimingResult:
-    """One engine's answer: max-delay distribution + endpoint summaries."""
+    """One engine's answer: the max-delay distribution."""
 
     engine: str
     max_delay: DelayDistribution
-    endpoints: Tuple[EndpointSummary, ...]
     n_gates: int
     params: Mapping[str, object] = field(default_factory=dict)
-    raw: object = None
 
     def yield_at(self, target_delay: float) -> float:
         """P(circuit delay <= target)."""

@@ -1,12 +1,10 @@
-"""Clark-max engine: adapter over the historical analytic SSTA.
+"""Clark-max engine: the canonical SSTA behind the engine interface.
 
-A thin shim — :func:`~repro.timing.ssta.run_ssta` does all the work,
-exactly as it did before the engine subsystem existed, and the adapter
-only repackages its output.  The max-delay distribution *is* the SSTA
-canonical circuit delay (``GaussianDelay`` delegates every query to
-:class:`~repro.timing.canonical.Canonical`), so yields, quantiles, and
-moments through this engine are bitwise identical to the pre-engine
-``run_ssta`` path; the regression tests assert that equality.
+:func:`~repro.timing.ssta.run_ssta` does all the work; the max-delay
+distribution *is* its canonical circuit delay (``GaussianDelay``
+delegates every query to :class:`~repro.timing.canonical.Canonical`),
+so yields, quantiles, and moments through this engine are bitwise the
+``run_ssta`` result's own, and one ``analyze`` costs one ``run_ssta``.
 """
 
 from __future__ import annotations
@@ -17,12 +15,7 @@ from ..circuit.netlist import Circuit
 from ..timing.graph import TimingConfig, TimingView
 from ..timing.ssta import run_ssta
 from ..variation.model import VariationModel
-from .base import (
-    GaussianDelay,
-    TimingEngine,
-    TimingResult,
-    summarize_endpoint,
-)
+from .base import GaussianDelay, TimingEngine, TimingResult
 
 
 class ClarkEngine(TimingEngine):
@@ -38,7 +31,7 @@ class ClarkEngine(TimingEngine):
         config: Optional[TimingConfig] = None,
         **params: object,
     ) -> TimingResult:
-        """Run the historical SSTA and wrap its result.
+        """Run SSTA and wrap its circuit delay.
 
         ``n_jobs`` is accepted for interface uniformity and ignored —
         the analytic propagation is single-pass and already cheap.
@@ -46,15 +39,8 @@ class ClarkEngine(TimingEngine):
         self._check_params(params)
         view = self._view_of(circuit_or_view, config)
         ssta = run_ssta(view, varmodel, config)
-        endpoints = tuple(
-            summarize_endpoint(int(i), GaussianDelay(ssta.arrivals[int(i)]))
-            for i in view.primary_output_indices()
-        )
         return TimingResult(
             engine=self.name,
             max_delay=GaussianDelay(ssta.circuit_delay),
-            endpoints=endpoints,
             n_gates=view.n_gates,
-            params={},
-            raw=ssta,
         )

@@ -36,12 +36,7 @@ from ..telemetry import get_telemetry
 from ..timing.graph import TimingConfig, TimingView
 from ..timing.ssta import gate_delay_canonicals
 from ..variation.model import VariationModel
-from .base import (
-    HistogramDelay,
-    TimingEngine,
-    TimingResult,
-    summarize_endpoint,
-)
+from .base import HistogramDelay, TimingEngine, TimingResult
 
 #: Lattice reach of a discretized Gaussian, in standard deviations.
 SIGMA_SPAN = 8.0
@@ -132,11 +127,7 @@ class LatticePropagation:
 
     bin_width: float
     n_bins: int
-    po_indices: Tuple[int, ...]
-    po_states: Tuple[LatticeState, ...]
     circuit_state: LatticeState
-    #: P(endpoint k attains the circuit max), from the PO fold.
-    po_shares: np.ndarray
 
 
 def lattice_upper_bound(view: TimingView, varmodel: VariationModel) -> float:
@@ -192,21 +183,11 @@ def propagate_lattice(
                 acc, _ = _max_state(acc, states[j])
             sens, pmf = acc
             states[i] = (sens + c.sens, _lattice_sum(pmf, gate_pmf))
-        po = [int(i) for i in view.primary_output_indices()]
-        po_shares = np.ones(len(po))
+        po = view.primary_output_indices()
         sink = states[po[0]]
-        for k in range(1, len(po)):
-            sink, tightness = _max_state(sink, states[po[k]])
-            po_shares[:k] *= tightness
-            po_shares[k] = 1.0 - tightness
-    return LatticePropagation(
-        bin_width=w,
-        n_bins=bins,
-        po_indices=tuple(po),
-        po_states=tuple(states[i] for i in po),
-        circuit_state=sink,
-        po_shares=po_shares,
-    )
+        for k in po[1:]:
+            sink, _ = _max_state(sink, states[k])
+    return LatticePropagation(bin_width=w, n_bins=bins, circuit_state=sink)
 
 
 def finish_state(
@@ -269,17 +250,10 @@ class HistogramEngine(TimingEngine):
         tele = get_telemetry()
         with tele.span("engine.histogram.run", gates=view.n_gates, bins=bins):
             lattice = propagate_lattice(view, varmodel, bins)
-            w = lattice.bin_width
-            endpoints = tuple(
-                summarize_endpoint(idx, finish_state(state, w))
-                for idx, state in zip(lattice.po_indices, lattice.po_states)
-            )
-            max_delay = finish_state(lattice.circuit_state, w)
+            max_delay = finish_state(lattice.circuit_state, lattice.bin_width)
         return TimingResult(
             engine=self.name,
             max_delay=max_delay,
-            endpoints=endpoints,
             n_gates=view.n_gates,
             params={"bins": bins},
-            raw=lattice,
         )

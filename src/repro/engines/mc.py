@@ -1,38 +1,25 @@
 """Monte-Carlo engine: sampled timing as a first-class backend.
 
-Promotes the sharded MC machinery of :mod:`repro.timing.mc` from a
-validation side path to a peer of the analytic engines: the same
-``analyze`` call, but the answer is an :class:`EmpiricalDelay` whose
-every quantile and CDF query can carry its sampling confidence interval
-(binomial for yields, order-statistic for quantiles).  Endpoint
-distributions come from the per-output arrival matrix the propagation
-kernel already computes — the circuit delays are its exact column max,
-so this engine's yields are bitwise identical to
-:func:`~repro.timing.mc.run_monte_carlo_sta` at the same seed and
-sample count, for any ``n_jobs``.
+Promotes :func:`~repro.timing.mc.run_monte_carlo_sta` from a validation
+side path to a peer of the analytic engines: the same ``analyze`` call,
+but the answer is an :class:`EmpiricalDelay` whose every quantile and
+CDF query can carry its sampling confidence interval (binomial for
+yields, order-statistic for quantiles).  The samples are exactly the
+per-die circuit delays ``run_monte_carlo_sta`` draws at the same seed
+and sample count, for any ``n_jobs``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..circuit.netlist import Circuit
 from ..errors import EngineError
-from ..parallel import SampleShardPlan, adaptive_shard_size, run_sharded
-from ..parallel.plan import SampleShard
 from ..telemetry import get_telemetry
 from ..timing.graph import TimingConfig, TimingView
-from ..timing.mc import TimingKernel, _draw_shard
+from ..timing.mc import run_monte_carlo_sta
 from ..variation.model import VariationModel
-from .base import (
-    EmpiricalDelay,
-    TimingEngine,
-    TimingResult,
-    summarize_endpoint,
-)
+from .base import EmpiricalDelay, TimingEngine, TimingResult
 
 
 def _validate_count(name: str, value: object, minimum: int) -> int:
@@ -41,18 +28,6 @@ def _validate_count(name: str, value: object, minimum: int) -> int:
     if value < minimum:
         raise EngineError(f"{name} must be >= {minimum}, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class _EndpointShardTask:
-    """Picklable per-shard task: draw dies, keep the endpoint matrix."""
-
-    varmodel: VariationModel
-    kernel: TimingKernel
-
-    def __call__(self, shard: SampleShard) -> np.ndarray:
-        samples = _draw_shard(self.varmodel, shard, self.kernel.relative_area)
-        return self.kernel.endpoint_delays(samples)
 
 
 class MCEngine(TimingEngine):
@@ -68,7 +43,7 @@ class MCEngine(TimingEngine):
         config: Optional[TimingConfig] = None,
         **params: object,
     ) -> TimingResult:
-        """Sample dies and report empirical max-delay + endpoint stats.
+        """Sample dies and report the empirical max-delay distribution.
 
         ``n_samples`` (default 4000) and ``seed`` (default 0) pin the
         die population; ``n_jobs`` shards the draw over workers with the
@@ -91,25 +66,13 @@ class MCEngine(TimingEngine):
         with tele.span(
             "engine.mc.run", gates=view.n_gates, samples=n_samples
         ):
-            kernel = TimingKernel.from_view(view)
-            plan = SampleShardPlan.build(
-                n_samples, seed, shard_size=adaptive_shard_size(n_samples)
-            )
-            task = _EndpointShardTask(varmodel=varmodel, kernel=kernel)
-            matrices = run_sharded(task, plan, n_jobs=n_jobs)
-            endpoint_delays = np.concatenate(matrices, axis=1)
-            circuit_delays = endpoint_delays.max(axis=0)
-            endpoints = tuple(
-                summarize_endpoint(
-                    int(gate), EmpiricalDelay.from_samples(row)
-                )
-                for gate, row in zip(kernel.po, endpoint_delays)
+            mc = run_monte_carlo_sta(
+                view, varmodel, n_samples=n_samples, seed=seed,
+                n_jobs=n_jobs, keep_samples=False,
             )
         return TimingResult(
             engine=self.name,
-            max_delay=EmpiricalDelay.from_samples(circuit_delays),
-            endpoints=endpoints,
+            max_delay=EmpiricalDelay.from_samples(mc.circuit_delays),
             n_gates=view.n_gates,
             params={"n_samples": n_samples, "seed": seed},
-            raw=endpoint_delays,
         )

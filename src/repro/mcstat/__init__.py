@@ -5,7 +5,7 @@ yield, all riding the deterministic sharded execution layer
 (:mod:`repro.parallel`) so every one is bitwise-identical across worker
 counts:
 
-* ``plain`` — the historical frequency estimate, bitwise-preserved;
+* ``plain`` — the frequency estimate with its exact binomial error;
 * ``isle`` — ISLE-style importance sampling: a defensive-mixture
   proposal shifted toward the SSTA failure boundary with
   self-normalized likelihood weights (:mod:`.isle`);
@@ -34,7 +34,7 @@ from .base import (
 )
 from .control import ControlVariateEstimator
 from .isle import IsleEstimator
-from .plain import PlainEstimator
+from .plain import PlainEstimator, binomial_estimate
 from .sobol import SobolEstimator
 
 #: Registry order is presentation order (baseline first).
@@ -73,5 +73,6 @@ __all__ = [
     "YieldEstimate",
     "YieldEstimator",
     "binomial_equivalent_n",
+    "binomial_estimate",
     "get_estimator",
 ]

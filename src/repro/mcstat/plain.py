@@ -1,11 +1,14 @@
-"""Plain Monte-Carlo yield estimator — the bitwise-preserved baseline.
+"""Plain Monte-Carlo yield estimator — the frequency baseline.
 
-Each shard draws its dies through the historical
-:meth:`~repro.variation.model.VariationModel.sample` path on its own
+Each shard draws its dies through
+:meth:`~repro.variation.model.VariationModel.sample` on its own
 ``SeedSequence`` child stream and reduces to an integer pass count, so
 the merged yield is the *identical* fraction
-:func:`repro.timing.yield_est.mc_timing_yield` has always reported:
+:func:`~repro.timing.mc.run_monte_carlo_sta` reports on the same dies:
 integer counts sum exactly, in any order, on any worker count.
+:func:`binomial_estimate` turns a pass count into the estimate, so a
+caller that already holds the per-die delays builds the same estimate
+without a second Monte-Carlo pass.
 """
 
 from __future__ import annotations
@@ -23,6 +26,22 @@ from .base import (
     YieldEstimator,
     require_states,
 )
+
+
+def binomial_estimate(
+    n: int, n_pass: int, target_delay: float
+) -> YieldEstimate:
+    """Frequency estimate ``n_pass / n`` with its binomial standard error."""
+    y = n_pass / n
+    return YieldEstimate(
+        estimator=PlainEstimator.name,
+        timing_yield=y,
+        std_error=math.sqrt(max(y * (1.0 - y), 0.0) / n),
+        n_samples=n,
+        # By definition: n_effective is the plain-equivalent count.
+        n_effective=float(n),
+        target_delay=target_delay,
+    )
 
 
 @dataclass(frozen=True)
@@ -71,16 +90,8 @@ class PlainEstimator(YieldEstimator):
         self, states: Sequence[PlainShardState], ctx: EstimatorContext
     ) -> YieldEstimate:
         require_states(states, self.name)
-        n = sum(s.n for s in states)
-        n_pass = sum(s.n_pass for s in states)
-        y = n_pass / n
-        std_error = math.sqrt(max(y * (1.0 - y), 0.0) / n)
-        return YieldEstimate(
-            estimator=self.name,
-            timing_yield=y,
-            std_error=std_error,
-            n_samples=n,
-            # By definition: n_effective is the plain-equivalent count.
-            n_effective=float(n),
-            target_delay=ctx.target_delay,
+        return binomial_estimate(
+            sum(s.n for s in states),
+            sum(s.n_pass for s in states),
+            ctx.target_delay,
         )

@@ -14,14 +14,10 @@ from .slack import StatisticalSlackResult, statistical_slacks
 from .ssta import SSTAResult, gate_delay_canonicals, run_ssta
 from .sta import STAResult, corner_delay_factor, run_sta
 from .yield_est import (
-    MCYieldEstimate,
     degenerate_cdf,
     degenerate_quantile,
     empirical_yield_curve,
     estimate_timing_yield,
-    mc_timing_yield,
-    target_for_yield,
-    timing_yield,
     yield_curve,
 )
 
@@ -30,7 +26,6 @@ __all__ = [
     "CanonicalArray",
     "MCTimingResult",
     "LevelSchedule",
-    "MCYieldEstimate",
     "ProcessSamples",
     "SSTAResult",
     "STAResult",
@@ -47,7 +42,6 @@ __all__ = [
     "gate_delay_canonicals",
     "max_moments",
     "maximum_of",
-    "mc_timing_yield",
     "min_moments",
     "norm_cdf",
     "norm_pdf",
@@ -55,7 +49,5 @@ __all__ = [
     "run_ssta",
     "statistical_slacks",
     "run_sta",
-    "target_for_yield",
-    "timing_yield",
     "yield_curve",
 ]

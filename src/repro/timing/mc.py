@@ -137,7 +137,7 @@ class MCTimingResult:
         return float(np.quantile(self.circuit_delays, q))
 
 
-def _propagate_arrivals(
+def _propagate_delays(
     samples: ProcessSamples,
     nominal: np.ndarray,
     sens_l: np.ndarray,
@@ -145,7 +145,7 @@ def _propagate_arrivals(
     schedule: LevelSchedule,
     po: np.ndarray,
 ) -> np.ndarray:
-    """Batched levelized STA: per-endpoint arrival matrix ``(n_po, dies)``.
+    """Batched levelized STA: per-die circuit delays.
 
     Per-gate sampled delay factors: ``(1 + x + x^2/2)``, with ``x`` the
     sampled log-resistance shift.  Arrivals live gate-major —
@@ -154,12 +154,10 @@ def _propagate_arrivals(
     ``np.maximum`` into one buffer instead of materializing the padded
     3-D gather (the sentinel row stays ``-inf``, the identity of
     ``max``, so ragged fanin counts cost nothing).  The elementwise
-    operation order matches the historical per-gate loop exactly and
-    ``max`` is exact arithmetic, so results stay bitwise identical to
-    scalar propagation (the determinism harness asserts this against a
-    naive reference).  Returns the primary-output rows so the MC engine
-    can report per-endpoint distributions; the circuit-delay reduction
-    stays in :func:`_propagate_delays`.
+    operation order matches a per-gate loop exactly and ``max`` is
+    exact arithmetic, so results stay bitwise identical to scalar
+    propagation (the determinism harness asserts this against a naive
+    reference).
     """
     n = schedule.n_gates
     x = sens_l * samples.delta_l + sens_v * samples.delta_vth
@@ -173,26 +171,7 @@ def _propagate_arrivals(
             arrivals[gates] = worst + gate_delays[gates]
         else:
             arrivals[gates] = gate_delays[gates]
-    return arrivals[po]
-
-
-def _propagate_delays(
-    samples: ProcessSamples,
-    nominal: np.ndarray,
-    sens_l: np.ndarray,
-    sens_v: np.ndarray,
-    schedule: LevelSchedule,
-    po: np.ndarray,
-) -> np.ndarray:
-    """Per-die circuit delays: endpoint arrivals reduced over outputs.
-
-    The ``max`` over primary outputs is exact arithmetic on the same
-    matrix :func:`_propagate_arrivals` returns, so splitting the two
-    changes nothing bitwise on the historical path.
-    """
-    return _propagate_arrivals(
-        samples, nominal, sens_l, sens_v, schedule, po
-    ).max(axis=0)
+    return arrivals[po].max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -235,17 +214,6 @@ class TimingKernel:
     def delays(self, samples: ProcessSamples) -> np.ndarray:
         """Per-die circuit delays for the sampled process draws."""
         return _propagate_delays(
-            samples, self.nominal, self.sens_l, self.sens_v, self.schedule,
-            self.po,
-        )
-
-    def endpoint_delays(self, samples: ProcessSamples) -> np.ndarray:
-        """Per-endpoint arrival matrix ``(n_po, n_samples)``.
-
-        Row order follows ``po`` (the view's primary-output indices);
-        ``.max(axis=0)`` of this matrix is exactly :meth:`delays`.
-        """
-        return _propagate_arrivals(
             samples, self.nominal, self.sens_l, self.sens_v, self.schedule,
             self.po,
         )

@@ -1,10 +1,41 @@
-"""Command-line interface."""
+"""Command-line interface.
 
+``tests/goldens/cli_mc.json`` freezes the stdout of ``repro mc c17
+--samples 256`` for every engine under the ``plain`` and ``isle``
+estimators, compared byte for byte; a missing file fails.  After a
+deliberate change to that output, rewrite the file with::
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.engines import ENGINE_NAMES
+
+CLI_MC_GOLDEN = Path(__file__).resolve().parent / "goldens" / "cli_mc.json"
+CLI_MC_RUNS = tuple(
+    ("mc", "c17", "--samples", "256", "--engine", engine,
+     "--estimator", estimator)
+    for engine in ENGINE_NAMES
+    for estimator in ("plain", "isle")
+)
+
+
+def cli_mc_outputs():
+    """Stdout of every golden ``repro mc`` run, keyed by its arguments."""
+    outputs = {}
+    for argv in CLI_MC_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 0, argv
+        outputs[" ".join(argv)] = out.getvalue()
+    return outputs
 
 
 def test_list_command(capsys):
@@ -153,6 +184,16 @@ def test_mc_invalid_bins_rejected(capsys):
     assert "bins must be in" in capsys.readouterr().err
 
 
+def test_mc_output_matches_golden():
+    if not CLI_MC_GOLDEN.exists():
+        pytest.fail(f"{CLI_MC_GOLDEN.name} is missing; regenerate it (see module docstring)")
+    golden = json.loads(CLI_MC_GOLDEN.read_text(encoding="utf-8"))
+    actual = cli_mc_outputs()
+    assert sorted(actual) == sorted(golden)
+    for run, out in actual.items():
+        assert out == golden[run], f"`repro {run}` output drifted"
+
+
 def test_mc_unknown_engine_rejected_by_parser():
     import pytest
 
@@ -166,6 +207,15 @@ def test_optimize_accepts_engine_flag(capsys):
          "histogram"]
     ) == 0
     assert "statistical" in capsys.readouterr().out
+
+
+def test_optimize_rejects_engine_with_mc_yield(capsys):
+    # A sampled yield check replaces the engine; naming another engine
+    # with it is an error, not a silently ignored flag.
+    assert main(
+        ["optimize", "c17", "--engine", "histogram", "--mc-yield", "64"]
+    ) == 1
+    assert "timing_engine 'histogram' is unused" in capsys.readouterr().err
 
 
 # -- lint subcommand ----------------------------------------------------------
@@ -260,3 +310,10 @@ def test_info_clean_circuit_says_clean(tmp_path, capsys):
     bench.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n")
     assert main(["info", str(bench)]) == 0
     assert "lint: clean" in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    from repro.atomicio import atomic_write_json
+
+    atomic_write_json(CLI_MC_GOLDEN, cli_mc_outputs())
+    print(f"wrote {CLI_MC_GOLDEN}")

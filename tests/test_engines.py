@@ -7,7 +7,6 @@ import pytest
 
 from repro.engines import (
     DEFAULT_BINS,
-    ENDPOINT_QUANTILES,
     ENGINE_NAMES,
     ClarkEngine,
     EmpiricalDelay,
@@ -18,7 +17,6 @@ from repro.engines import (
     get_engine,
     validate_bins,
 )
-from repro.engines.base import EndpointSummary, summarize_endpoint
 from repro.errors import EngineError
 from repro.timing import Canonical, run_monte_carlo_sta, run_ssta
 from repro.variation import VariationSpec
@@ -161,22 +159,6 @@ class TestEmpiricalDelay:
         assert dist.cdf(1.0) == 1.0
 
 
-class TestEndpointSummary:
-    def test_summarize_reports_standard_quantiles(self):
-        c = Canonical(1.0, np.array([0.1]), 0.1)
-        summary = summarize_endpoint(7, GaussianDelay(c))
-        assert summary.gate_index == 7
-        assert tuple(q for q, _ in summary.quantiles) == ENDPOINT_QUANTILES
-        assert summary.quantile(0.95) == c.percentile(0.95)
-
-    def test_missing_quantile_rejected(self):
-        summary = EndpointSummary(
-            gate_index=0, mean=1.0, sigma=0.1, quantiles=((0.5, 1.0),)
-        )
-        with pytest.raises(EngineError, match="not reported"):
-            summary.quantile(0.75)
-
-
 # -- clark adapter: bitwise identity ------------------------------------------
 
 
@@ -188,19 +170,6 @@ class TestClarkEngine:
         assert result.max_delay.sigma == ssta.circuit_delay.sigma
         target = 1.05 * ssta.circuit_delay.mean
         assert result.yield_at(target) == ssta.timing_yield(target)
-
-    def test_endpoints_match_arrivals(self, c432, varmodel_c432):
-        from repro.timing import TimingView
-
-        view = TimingView(c432)
-        ssta = run_ssta(view, varmodel_c432)
-        result = ClarkEngine().analyze(view, varmodel_c432)
-        po = [int(i) for i in view.primary_output_indices()]
-        assert [e.gate_index for e in result.endpoints] == po
-        for endpoint in result.endpoints:
-            arrival = ssta.arrivals[endpoint.gate_index]
-            assert endpoint.mean == arrival.mean
-            assert endpoint.sigma == arrival.sigma
 
     def test_result_metadata(self, c17, spec):
         from repro.circuit.placement import build_variation_model
@@ -266,13 +235,6 @@ class TestHistogramEngine:
         assert (lo, hi) == (0.0, 1.0)
         assert not math.isnan(lo) and not math.isnan(hi)
 
-    def test_endpoint_count_matches_outputs(self, c432, varmodel_c432):
-        from repro.timing import TimingView
-
-        view = TimingView(c432)
-        result = HistogramEngine().analyze(view, varmodel_c432, bins=64)
-        assert len(result.endpoints) == view.primary_output_indices().size
-
 
 # -- mc engine ----------------------------------------------------------------
 
@@ -299,14 +261,6 @@ class TestMCEngine:
         assert np.array_equal(
             a.max_delay.sorted_samples, b.max_delay.sorted_samples
         )
-
-    def test_endpoint_max_is_circuit_delay(self, c432, varmodel_c432):
-        result = MCEngine().analyze(c432, varmodel_c432, n_samples=200, seed=0)
-        matrix = result.raw
-        assert np.array_equal(
-            np.sort(matrix.max(axis=0)), result.max_delay.sorted_samples
-        )
-        assert len(result.endpoints) == matrix.shape[0]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -381,7 +335,7 @@ class TestResultSurface:
             )
 
         y_clark = strategy("clark").evaluate_yield()
-        # Clark default is the bitwise-preserved historical path.
+        # The default engine's yield is bitwise the SSTA result's.
         assert y_clark == run_ssta(view, varmodel_c432).timing_yield(target)
         y_hist = strategy("histogram").evaluate_yield()
         assert y_hist == pytest.approx(y_clark, abs=0.03)
@@ -396,3 +350,73 @@ class TestResultSurface:
         y_clark = clark.yield_at(target)
         assert hist.yield_at(target) == pytest.approx(y_clark, abs=0.03)
         assert mc.yield_at(target) == pytest.approx(y_clark, abs=0.03)
+
+
+# -- the optimizer's yield check ------------------------------------------------
+
+
+class TestOptimizerYieldPath:
+    """``evaluate_yield`` is one engine call, or one sampled estimate."""
+
+    @staticmethod
+    def strategy(view, varmodel, target, **config):
+        from repro.core import OptimizerConfig
+        from repro.core.statistical import StatisticalStrategy
+
+        return StatisticalStrategy(
+            view, varmodel, target, OptimizerConfig(**config), probs={}
+        )
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_engine_receives_n_jobs(self, c17, spec, monkeypatch, name):
+        # n_jobs covers every sampled evaluation of the flow, the mc
+        # engine's dies included; every engine accepts it.
+        from repro.circuit.placement import build_variation_model
+        from repro.timing import TimingView
+
+        received = []
+
+        class Answer:
+            def yield_at(self, target):
+                return 0.25
+
+        def analyze(self, circuit_or_view, varmodel, config=None, **params):
+            received.append(params)
+            return Answer()
+
+        monkeypatch.setattr(type(get_engine(name)), "analyze", analyze)
+        varmodel = build_variation_model(c17, spec)
+        strategy = self.strategy(
+            TimingView(c17), varmodel, 1e-9, timing_engine=name, n_jobs=3
+        )
+        assert strategy.evaluate_yield() == 0.25
+        assert received == [{"n_jobs": 3}]
+
+    def test_default_check_is_one_ssta_and_no_quantile(
+        self, c432, varmodel_c432, monkeypatch
+    ):
+        from repro.telemetry import telemetry_session
+        from repro.timing import TimingView
+
+        view = TimingView(c432)
+        target = 1.05 * run_ssta(view, varmodel_c432).circuit_delay.mean
+
+        def no_quantile(self, q):
+            raise AssertionError("a yield check evaluated a quantile")
+
+        monkeypatch.setattr(Canonical, "percentile", no_quantile)
+        with telemetry_session() as tele:
+            y = self.strategy(view, varmodel_c432, target).evaluate_yield()
+        assert tele.counter("ssta_runs_total").value == 1
+        assert tele.counter("opt_yield_evals_total", mode="engine").value == 1
+        assert y == run_ssta(view, varmodel_c432).timing_yield(target)
+
+    @pytest.mark.parametrize("name", ["histogram", "mc"])
+    def test_sampled_check_rejects_an_unused_engine(self, name):
+        from repro.core import OptimizerConfig
+        from repro.errors import OptimizationError
+
+        with pytest.raises(OptimizationError, match="unused"):
+            OptimizerConfig(timing_engine=name, yield_mc_samples=800)
+        assert OptimizerConfig(yield_mc_samples=800).timing_engine == "clark"
+        assert OptimizerConfig(timing_engine=name).yield_mc_samples == 0

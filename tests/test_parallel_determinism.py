@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import OptimizerConfig, optimize_statistical
 from repro.power import run_monte_carlo_leakage
-from repro.timing import mc_timing_yield, run_monte_carlo_sta, run_ssta
+from repro.timing import estimate_timing_yield, run_monte_carlo_sta, run_ssta
 from repro.timing.graph import TimingView
 from repro.timing.mc import LevelSchedule, _propagate_delays, draw_samples
 
@@ -95,11 +95,12 @@ class TestWorkerCountInvariance:
     def test_timing_yield_bitwise_identical(self, rca8, varmodel_rca8):
         ssta = run_ssta(rca8, varmodel_rca8)
         target = ssta.circuit_delay.percentile(0.9)
-        serial = mc_timing_yield(
-            rca8, varmodel_rca8, target, n_samples=SAMPLES, seed=SEED, n_jobs=1
-        )
-        parallel = mc_timing_yield(
-            rca8, varmodel_rca8, target, n_samples=SAMPLES, seed=SEED, n_jobs=4
+        serial, parallel = (
+            estimate_timing_yield(
+                rca8, varmodel_rca8, target, n_samples=SAMPLES, seed=SEED,
+                n_jobs=n_jobs, estimator="plain",
+            )
+            for n_jobs in (1, 4)
         )
         assert serial.timing_yield == parallel.timing_yield
         assert serial.n_samples == parallel.n_samples == SAMPLES

@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import TimingError
-from repro.mcstat import ESTIMATOR_NAMES
+from repro.engines import get_engine
+from repro.errors import EngineError, TimingError
+from repro.mcstat import ESTIMATOR_NAMES, binomial_estimate
 from repro.timing import (
     Canonical,
-    MCYieldEstimate,
     degenerate_cdf,
     degenerate_quantile,
     empirical_yield_curve,
     estimate_timing_yield,
-    target_for_yield,
-    timing_yield,
+    run_ssta,
     yield_curve,
 )
 from repro.variation import VariationSpec
@@ -27,23 +26,44 @@ def delay():
     return Canonical(1e-9, np.array([5e-11]), 3e-11)
 
 
-def test_timing_yield_at_mean(delay):
-    assert timing_yield(delay, 1e-9) == pytest.approx(0.5)
+@pytest.fixture
+def analyses(c17, spec):
+    """One circuit's SSTA result and the clark engine's, side by side."""
+    from repro.circuit.placement import build_variation_model
+
+    varmodel = build_variation_model(c17, spec)
+    return run_ssta(c17, varmodel), get_engine("clark").analyze(c17, varmodel)
 
 
-def test_target_for_yield_inverse(delay):
-    t = target_for_yield(delay, 0.99)
-    assert timing_yield(delay, t) == pytest.approx(0.99, abs=1e-9)
+def test_timing_yield_at_mean(analyses):
+    ssta, result = analyses
+    mean = ssta.circuit_delay.mean
+    assert ssta.timing_yield(mean) == pytest.approx(0.5)
+    assert result.yield_at(mean) == ssta.timing_yield(mean)
 
 
-def test_target_for_yield_bounds(delay):
+def test_target_for_yield_inverse(analyses):
+    ssta, result = analyses
+    t = ssta.delay_at_yield(0.99)
+    assert ssta.timing_yield(t) == pytest.approx(0.99, abs=1e-9)
+    assert result.delay_at_yield(0.99) == t
+
+
+def test_target_for_yield_bounds(analyses):
+    ssta, result = analyses
+    for eta in (0.0, 1.0):
+        with pytest.raises(TimingError):
+            ssta.delay_at_yield(eta)
+        with pytest.raises(EngineError):
+            result.delay_at_yield(eta)
+
+
+def test_timing_yield_rejects_bad_target(analyses):
+    ssta, result = analyses
     with pytest.raises(TimingError):
-        target_for_yield(delay, 1.0)
-
-
-def test_timing_yield_rejects_bad_target(delay):
-    with pytest.raises(TimingError):
-        timing_yield(delay, 0.0)
+        ssta.timing_yield(0.0)
+    with pytest.raises(EngineError):
+        result.yield_at(0.0)
 
 
 def test_yield_curve_monotone(delay):
@@ -110,27 +130,23 @@ class TestDegenerateHelpers:
 
 
 class TestMCYieldEstimateEdges:
-    """Degenerate empirical yields must stay NaN-free and clamped."""
+    """Degenerate plain (binomial) yields must stay NaN-free and clamped."""
 
     @pytest.mark.parametrize("y", [0.0, 1.0])
     def test_degenerate_yield_has_zero_stderr(self, y):
-        est = MCYieldEstimate(timing_yield=y, n_samples=100, target_delay=1e-9)
+        est = binomial_estimate(100, int(100 * y), 1e-9)
+        assert est.timing_yield == y
         assert est.std_error == 0.0
         assert not math.isnan(est.std_error)
         lo, hi = est.confidence_interval()
         assert (lo, hi) == (y, y)
 
     def test_single_sample_estimate(self):
-        est = MCYieldEstimate(timing_yield=1.0, n_samples=1, target_delay=1e-9)
+        est = binomial_estimate(1, 1, 1e-9)
+        assert est.timing_yield == 1.0
         assert est.std_error == 0.0
-        # One sample carries no resolution: the one-count floor makes
-        # agrees_with accept any plausible analytic value (never NaN).
-        assert est.agrees_with(0.5, z=3.0)
-        degenerate = MCYieldEstimate(
-            timing_yield=1.0, n_samples=1000, target_delay=1e-9
-        )
-        assert degenerate.agrees_with(0.999, z=3.0)
-        assert not degenerate.agrees_with(0.9, z=3.0)
+        assert est.n_effective == 1.0
+        assert est.confidence_interval() == (1.0, 1.0)
 
 
 class TestEstimateTimingYieldEdges:
