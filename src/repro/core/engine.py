@@ -224,6 +224,7 @@ class GreedyEngine:
         self, state: object, tabu: Set[Tuple[int, str, object]]
     ) -> List[Tuple[float, Move]]:
         scored: List[Tuple[float, Move]] = []
+        loads = self.view.load_caps().tolist()
         for move in candidate_moves(
             self.view,
             self.config.enable_vth,
@@ -237,7 +238,7 @@ class GreedyEngine:
             gain = leakage_gain(self.view, move, self.leakage)
             if gain <= 0.0:
                 continue
-            delay_cost = own_delay_cost(self.view, move)
+            delay_cost = own_delay_cost(self.view, move, loads[move.index])
             if delay_cost < 0.0:
                 delay_cost = 0.0  # downsizing an overloaded stage can help
             if not self.strategy.move_allowed(state, move, delay_cost):

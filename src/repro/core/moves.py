@@ -90,14 +90,15 @@ def candidate_moves(
             )
 
 
-def own_delay_cost(view: TimingView, move: Move) -> float:
+def own_delay_cost(view: TimingView, move: Move, load: float) -> float:
     """Exact change of the gate's own nominal delay under the move [s].
 
     Positive for leakage-reducing moves (they slow the gate).  Computed
-    from the cached delay coefficients at the current load.
+    from the cached delay coefficients at ``load``, the gate's current
+    load capacitance (``view.load_cap_of(move.index)``; a move changes
+    no gate's own load, so one read of ``view.load_caps()`` serves every
+    move scored at a state).
     """
-    gate = view.gates[move.index]
-    load = view.load_cap_of(move.index)
     i_old, s_old = view.delay_coefficients(move.index)
     old = apply_move(view, move)
     try:

@@ -19,7 +19,7 @@ deterministic STA, Monte-Carlo STA).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from ..circuit.netlist import Circuit
 from ..errors import TimingError
 from ..tech.library import Cell
 from ..tech.technology import VthClass
+
+if TYPE_CHECKING:
+    from .ssta import SSTAResult
 
 
 @dataclass(frozen=True)
@@ -216,6 +219,10 @@ class TimingView:
         # (cell, size) -> Cell.input_cap(size); misses run the library's
         # size-range check.
         self._input_cap_cache: Dict[Tuple[Cell, float], float] = {}
+        #: The last SSTA result on this view and the gate-delay canonical
+        #: rows it was propagated from (``None`` before the first run);
+        #: :func:`~repro.timing.ssta.run_ssta` reuses it when the rows repeat.
+        self.last_ssta: Optional[Tuple[np.ndarray, "SSTAResult"]] = None
 
     # -- state-live queries ---------------------------------------------------
 

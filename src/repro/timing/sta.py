@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -39,10 +40,12 @@ class STAResult:
     target_delay: float
     critical_path: tuple[str, ...]
 
-    @property
+    @cached_property
     def slacks(self) -> np.ndarray:
-        """Per-gate slack (required - arrival)."""
-        return self.required - self.arrivals
+        """Per-gate slack (required - arrival), built on first read (read-only)."""
+        slacks = self.required - self.arrivals
+        slacks.flags.writeable = False
+        return slacks
 
     @property
     def worst_slack(self) -> float:

@@ -22,7 +22,12 @@ the machine-readable records this repo commits —
 * **exp22** (engine cross-validation): every registered timing engine
   must appear for every circuit with yields, errors, KS distance, and
   runtime, and the committed numbers must still back the stated
-  tolerance claim for the pinned (histogram, mc) backends.
+  tolerance claim for the pinned (histogram, mc) backends;
+* **BENCH_optimize.json** (the root-level runtime trajectory that
+  ``bench_exp05`` appends to): every row must carry the wall time, the
+  per-span self times and SSTA counters, the flow's outcome and the
+  provenance of the measured source, and every recorded source version
+  must cover every circuit of the record.
 
 A missing artifact is a failure, not a skip: a claim the docs make
 about a record nobody committed is an unbacked claim.  Regenerating the
@@ -32,17 +37,19 @@ hold the new copies to the same contract.
 
 import json
 import math
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "benchmarks" / "results"
 
 
-def load(name):
-    path = RESULTS / name
+def load(name, directory=RESULTS):
+    path = directory / name
     if not path.exists():
-        pytest.fail(f"{name} is not committed under benchmarks/results/")
+        pytest.fail(f"{path.relative_to(ROOT)} is not committed")
     return json.loads(path.read_text())
 
 
@@ -299,3 +306,59 @@ class TestExp22Schema:
             for name in exp22["pinned_engines"]:
                 err = c["engines"][name]["max_yield_error"]
                 assert err <= tol, (circuit, name, err)
+
+
+BENCH_OPTIMIZE_CIRCUITS = {"c432", "c880", "c1908", "c2670", "c3540"}
+BENCH_OPTIMIZE_ROW_KEYS = {
+    "circuit",
+    "gates",
+    "wall_seconds",
+    "passes",
+    "moves_applied",
+    "moves_reverted",
+    "mean_leakage_w",
+    "p95_leakage_w",
+    "timing_yield",
+    "span_self_seconds",
+    "ssta_runs_total",
+    "ssta_reused_total",
+    "src_lines",
+    "cpu_count",
+    "git_sha",
+    "recorded_at",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_optimize():
+    return load("BENCH_optimize.json", ROOT)
+
+
+class TestBenchOptimizeSchema:
+    def test_every_row_has_the_full_record(self, bench_optimize):
+        rows = bench_optimize["rows"]
+        assert rows
+        for row in rows:
+            key = (row.get("git_sha"), row.get("circuit"))
+            assert set(row) == BENCH_OPTIMIZE_ROW_KEYS, key
+            assert row["wall_seconds"] > 0.0, key
+            assert row["gates"] > 0 and row["src_lines"] > 0, key
+            assert row["cpu_count"] >= 1, key
+            assert 0 <= row["ssta_reused_total"] < row["ssta_runs_total"], key
+            assert 0.0 <= row["timing_yield"] <= 1.0, key
+            assert 0.0 < row["mean_leakage_w"] < row["p95_leakage_w"], key
+            assert row["moves_applied"] > 0 and row["moves_reverted"] >= 0, key
+
+    def test_spans_account_for_the_flow(self, bench_optimize):
+        for row in bench_optimize["rows"]:
+            spans = row["span_self_seconds"]
+            key = (row["git_sha"], row["circuit"])
+            assert {"opt.flow", "ssta.run", "ssta.propagate", "opt.validate"} <= set(spans), key
+            assert all(seconds >= -1e-9 for seconds in spans.values()), key
+
+    def test_every_source_version_covers_every_circuit(self, bench_optimize):
+        circuits = defaultdict(set)
+        for row in bench_optimize["rows"]:
+            circuits[row["git_sha"]].add(row["circuit"])
+        for sha, names in circuits.items():
+            assert names == BENCH_OPTIMIZE_CIRCUITS, sha

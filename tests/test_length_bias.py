@@ -77,7 +77,7 @@ class TestMoves:
         view = TimingView(c17)
         probs = gate_input_probabilities(c17, signal_probabilities(c17))
         move = Move(index=0, kind="lbias", new_lbias=4e-9)
-        assert own_delay_cost(view, move) > 0
+        assert own_delay_cost(view, move, view.load_cap_of(0)) > 0
         assert leakage_gain(view, move, GateLeakageMemo(c17, probs)) > 0
 
 

@@ -84,13 +84,13 @@ class TestApplyRevert:
 class TestLocalEstimates:
     def test_vth_swap_slows_gate(self, view):
         move = Move(index=0, kind="vth", new_vth=VthClass.HIGH)
-        cost = own_delay_cost(view, move)
+        cost = own_delay_cost(view, move, view.load_cap_of(0))
         assert cost > 0
         assert fanin_cap_delta(view, move) == 0.0
 
     def test_vth_cost_matches_measured_delay(self, view):
         move = Move(index=0, kind="vth", new_vth=VthClass.HIGH)
-        est = own_delay_cost(view, move)
+        est = own_delay_cost(view, move, view.load_cap_of(0))
         before = view.nominal_delay_of(0)
         old = apply_move(view, move)
         after = view.nominal_delay_of(0)
@@ -100,12 +100,12 @@ class TestLocalEstimates:
     def test_downsize_slows_gate_but_relieves_fanins(self, view, c17):
         c17.set_uniform(size=4.0)
         move = Move(index=5, kind="size", new_size=3.0)
-        assert own_delay_cost(view, move) > 0
+        assert own_delay_cost(view, move, view.load_cap_of(5)) > 0
         assert fanin_cap_delta(view, move) < 0
 
     def test_estimates_restore_state(self, view):
         move = Move(index=0, kind="vth", new_vth=VthClass.HIGH)
-        own_delay_cost(view, move)
+        own_delay_cost(view, move, view.load_cap_of(0))
         assert view.gates[0].vth is VthClass.LOW
 
 

@@ -85,6 +85,15 @@ class TestSlacks:
         with pytest.raises(TimingError):
             run_sta(c432, target_delay=-1.0)
 
+    def test_slacks_built_once_and_read_only(self, c432):
+        base = run_sta(c432)
+        sta = run_sta(c432, target_delay=1.1 * base.circuit_delay)
+        slacks = sta.slacks
+        assert np.array_equal(slacks, sta.required - sta.arrivals)
+        assert sta.slacks is slacks
+        with pytest.raises(ValueError):
+            slacks[0] = 0.0
+
 
 class TestImplementationSensitivity:
     def test_high_vth_slows_circuit(self, c432):

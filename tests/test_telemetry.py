@@ -481,3 +481,22 @@ class TestOptimizeSpanCoverage:
         assert {"opt.candidates", "opt.objective", "ssta.delays",
                 "ssta.propagate", "ssta.criticality"} <= names
         assert 1.0 - uncovered / flow["dur"] >= 0.95
+
+
+class TestSSTAReuseCounter:
+    def test_reuses_are_the_runs_that_skip_propagation(self, c432, spec):
+        from repro.circuit import build_variation_model
+        from repro.core import optimize_statistical
+
+        varmodel = build_variation_model(c432, spec)
+        with telemetry_session() as tele:
+            optimize_statistical(c432, spec, varmodel)
+        runs = tele.finished_spans("ssta.run")
+        propagated = {s.parent_id for s in tele.finished_spans("ssta.propagate")}
+        skipped = [s for s in runs if s.span_id not in propagated]
+        reused = tele.counter("ssta_reused_total").value
+        assert reused > 0
+        assert reused == len(skipped)
+        assert all(s.attrs["reused"] for s in skipped)
+        assert not any(s.attrs["reused"] for s in runs if s.span_id in propagated)
+        assert tele.counter("ssta_runs_total").value == len(runs)
