@@ -95,6 +95,17 @@ def mc_parametric_yield(
     )
 
 
+def _z_score(x: float, mean: float, sigma: float) -> float:
+    """Standard score of ``x``; at ``sigma == 0`` a step at ``mean``.
+
+    A deterministic quantity meets ``x`` exactly when ``x >= mean``, so
+    the score is ``+inf`` there and ``-inf`` below.
+    """
+    if sigma:
+        return (x - mean) / sigma
+    return math.inf if x >= mean else -math.inf
+
+
 def analytic_parametric_yield(
     circuit: Circuit,
     varmodel: VariationModel,
@@ -132,8 +143,8 @@ def analytic_parametric_yield(
     denom = delay.sigma * sigma_l
     rho = 0.0 if denom == 0 else max(-0.999, min(0.999, cov_dl / denom))
 
-    z_t = (target_delay - delay.mean) / delay.sigma if delay.sigma else math.inf
-    z_l = (math.log(leakage_cap) - mu_l) / sigma_l if sigma_l else math.inf
+    z_t = _z_score(target_delay, delay.mean, delay.sigma)
+    z_l = _z_score(math.log(leakage_cap), mu_l, sigma_l)
     timing_yield = float(stats.norm.cdf(z_t))
     leakage_yield = float(stats.norm.cdf(z_l))
     joint = float(

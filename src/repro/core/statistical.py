@@ -186,24 +186,25 @@ def optimize_statistical(
     t0 = time.perf_counter()
     circuit.freeze()
     with tele.span("opt.flow", flow="statistical", circuit=circuit.name):
-        view = TimingView(
-            circuit,
-            timing_config
-            or TimingConfig(derate_rdf_with_size=config.derate_rdf_with_size),
-        )
-        corner = slow_corner(spec, config.corner_sigma)
+        with tele.span("opt.setup", flow="statistical"):
+            view = TimingView(
+                circuit,
+                timing_config
+                or TimingConfig(derate_rdf_with_size=config.derate_rdf_with_size),
+            )
+            corner = slow_corner(spec, config.corner_sigma)
 
-        circuit.set_uniform(
-            size=view.library.sizes[0], vth=VthClass.LOW, length_bias=0.0
-        )
-        with tele.span("opt.initial_sizing", flow="statistical"):
-            dmin = minimize_delay(view, corner=corner)
-        if target_delay is None:
-            target_delay = config.delay_margin * dmin
+            circuit.set_uniform(
+                size=view.library.sizes[0], vth=VthClass.LOW, length_bias=0.0
+            )
+            with tele.span("opt.initial_sizing", flow="statistical"):
+                dmin = minimize_delay(view, corner=corner)
+            if target_delay is None:
+                target_delay = config.delay_margin * dmin
 
-        probs = signal_probabilities(circuit)
-        gate_probs = gate_input_probabilities(circuit, probs)
-        initial = circuit.assignment()
+            probs = signal_probabilities(circuit)
+            gate_probs = gate_input_probabilities(circuit, probs)
+            initial = circuit.assignment()
         before = snapshot_metrics(view, varmodel, target_delay, corner, config, probs)
 
         strategy = StatisticalStrategy(view, varmodel, target_delay, config, probs)

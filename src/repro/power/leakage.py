@@ -9,6 +9,7 @@ flow optimizes, and what experiment T2 reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -55,17 +56,59 @@ def gate_leakage_currents(
 
     ``probs`` are net signal probabilities (computed if omitted); the
     corner applies the shared exponential process factor.
+
+    All gates are evaluated in one pass with :meth:`Cell.leakage`'s
+    per-element arithmetic in its order, so each current is bit for bit
+    that method's value: the gate's ``Cell.leakage_by_state`` row (size
+    applied and range-checked) is zero-padded to the widest gate's
+    ``2**width`` states; state weights start at 1.0 and multiply by ``p``
+    or ``1 - p`` bit by bit, with zero-padded input probabilities (so
+    bits past a gate's arity multiply by exactly 1.0 and states past its
+    ``2**n`` weigh 0); the weighted states accumulate from state 0 up;
+    and a gate with a length (corner plus bias) or Vth deviation is
+    scaled by ``math.exp`` of its exponent, one gate at a time, because
+    NumPy's ``exp`` may differ in the last ulp.
     """
     circuit.freeze()
     if probs is None:
         probs = signal_probabilities(circuit)
     delta_l = corner.delta_l if corner is not None else 0.0
     delta_v = corner.delta_vth0 if corner is not None else 0.0
-    currents = np.empty(circuit.n_gates)
-    for gate in circuit.indexed_gates():
-        currents[circuit.gate_index(gate.name)] = _gate_current(
-            circuit, gate, [probs[f] for f in gate.fanins], delta_l, delta_v
-        )
+    gates = circuit.indexed_gates()
+    rows: Dict[Tuple[str, VthClass, float], int] = {}
+    tables = []
+    table_of = []
+    for gate in gates:
+        key = (gate.cell_name, gate.vth, gate.size)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(tables)
+            tables.append(circuit.cell_of(gate).leakage_by_state(gate.size, gate.vth))
+        table_of.append(row)
+    fanin_probs = [[probs[f] for f in gate.fanins] for gate in gates]
+    width = max(map(len, fanin_probs))
+    pins = np.array([p + [0.0] * (width - len(p)) for p in fanin_probs])
+    n_states = 1 << width
+    padded = np.zeros((len(tables), n_states))
+    for row, table in enumerate(tables):
+        padded[row, : table.shape[0]] = table
+    states = padded[table_of]
+
+    weights = np.ones_like(states)
+    state_bits = np.arange(n_states)
+    for bit in range(width):
+        p = pins[:, bit : bit + 1]
+        weights *= np.where((state_bits >> bit) & 1 == 1, p, 1.0 - p)
+    currents = np.zeros(len(gates))
+    for state in range(n_states):
+        currents += weights[:, state] * states[:, state]
+
+    d_l = delta_l + np.array([gate.length_bias for gate in gates])
+    shifted = np.flatnonzero((d_l != 0.0) | (delta_v != 0.0))  # lint: ignore[RPR402] exact zero is Cell.leakage's no-deviation fast path, not a tolerance test
+    if shifted.size:
+        s_l, s_v = circuit.library.log_leakage_sensitivities
+        exponents = s_l * d_l[shifted] + s_v * delta_v
+        currents[shifted] *= [math.exp(x) for x in exponents.tolist()]
     return currents
 
 

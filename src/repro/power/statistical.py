@@ -23,7 +23,8 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..errors import PowerError
-from ..variation.lognormal import LognormalSummary, sum_of_lognormals
+from ..telemetry import get_telemetry
+from ..variation.lognormal import LognormalSummary, loading_groups, sum_of_lognormals
 from ..variation.model import VariationModel
 from .leakage import gate_leakage_currents
 from .probability import signal_probabilities
@@ -129,17 +130,26 @@ def analyze_statistical_leakage(
     ``derate_rdf_with_size`` mirrors the timing-side configuration: wider
     gates see less RDF noise (sigma ~ 1/sqrt(size)).  ``nominal_currents``
     is as for :func:`gate_log_leakage_terms`.
+
+    Traced as a ``leakage.analyze`` span (attributes ``gates`` and
+    ``groups``, the number of distinct loading rows the moments were
+    summed over) and counted in ``leakage_evals_total``.
     """
-    if probs is None and nominal_currents is None:
-        probs = signal_probabilities(circuit)
-    rel_area: np.ndarray | float | None = None
-    if not derate_rdf_with_size:
-        rel_area = 1.0
-    log_means, loadings, indep = gate_log_leakage_terms(
-        circuit, varmodel, probs, relative_area=rel_area,
-        nominal_currents=nominal_currents,
-    )
-    summary = sum_of_lognormals(log_means, loadings, indep)
+    tele = get_telemetry()
+    tele.counter("leakage_evals_total").inc()
+    with tele.span("leakage.analyze", gates=circuit.n_gates) as span:
+        if probs is None and nominal_currents is None:
+            probs = signal_probabilities(circuit)
+        rel_area: np.ndarray | float | None = None
+        if not derate_rdf_with_size:
+            rel_area = 1.0
+        log_means, loadings, indep = gate_log_leakage_terms(
+            circuit, varmodel, probs, relative_area=rel_area,
+            nominal_currents=nominal_currents,
+        )
+        summary = sum_of_lognormals(log_means, loadings, indep)
+        if tele.enabled:
+            span.set(groups=int(loading_groups(loadings)[0].shape[0]))
     return StatisticalLeakage(
         summary=summary,
         vdd=circuit.library.tech.vdd,

@@ -6,7 +6,8 @@ lognormals**.  This module provides:
 
 * exact single-lognormal moments and percentiles,
 * exact mean/variance of a correlated-lognormal sum (the correlation
-  entering through shared global-factor loadings), and
+  entering through shared global-factor loadings), evaluated over the
+  groups of elements that share a loading row, and
 * Wilkinson's approximation: matching a single lognormal to those two
   moments, which is what the paper-era statistical leakage literature uses
   to report full-chip leakage percentiles.
@@ -24,9 +25,6 @@ import numpy as np
 from scipy import stats
 
 from ..errors import VariationError
-
-#: Default block edge for the O(n^2) covariance accumulation.
-_BLOCK: int = 512
 
 
 def lognormal_mean(mu: float, sigma: float) -> float:
@@ -91,10 +89,34 @@ class LognormalSummary:
         return self.mean + k * self.std
 
     def cdf(self, x: float) -> float:
-        """CDF of the Wilkinson-matched lognormal at ``x``."""
+        """CDF of the Wilkinson-matched lognormal at ``x``.
+
+        At ``sigma == 0`` the sum is deterministic, ``exp(mu)``, and the
+        CDF is a step there.
+        """
         if x <= 0:
             return 0.0
+        if self.sigma == 0.0:  # lint: ignore[RPR402] exact zero marks a deterministic sum, not a tolerance test
+            return 1.0 if x >= math.exp(self.mu) else 0.0
         return float(stats.norm.cdf((math.log(x) - self.mu) / self.sigma))
+
+
+def loading_groups(global_loadings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the rows of ``global_loadings`` that are bit-identical.
+
+    Returns ``(first, inverse)``: ``first[g]`` is the index of group
+    ``g``'s first row and ``inverse[i]`` the group of row ``i``, so
+    ``global_loadings[first][inverse]`` rebuilds the rows.  Rows compare
+    as raw bytes: ``-0.0`` and ``0.0`` fall in different groups, which
+    only costs a group, never exactness.
+    """
+    rows = np.ascontiguousarray(global_loadings, dtype=float)
+    n, k = rows.shape
+    if k == 0:
+        return np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def sum_of_lognormals(
@@ -123,11 +145,21 @@ def sum_of_lognormals(
 
     Notes
     -----
-    Exact formulas:  ``E[X_i] = exp(mu_i + v_i/2)`` with
+    Exact formulas:  ``E[X_i] = m_i = exp(mu_i + v_i/2)`` with
     ``v_i = |L_i|^2 + indep_i^2``;
-    ``Cov(X_i, X_j) = E[X_i] E[X_j] (exp(c_ij) - 1)`` with
-    ``c_ij = L_i . L_j (+ indep_i^2 if i = j)``.  The double sum is
-    evaluated in blocks to bound memory at ``O(block * n)``.
+    ``Cov(X_i, X_j) = m_i m_j (exp(c_ij) - 1)`` with
+    ``c_ij = L_i . L_j (+ indep_i^2 if i = j)``.  Elements with equal
+    loading rows (:func:`loading_groups`) share every off-diagonal
+    ``c_ij``, so with ``M_g`` the sum of ``m_i`` over group ``g`` the
+    double sum collapses to
+
+        ``Var = M^T expm1(L_G L_G^T) M
+        + sum_i m_i^2 exp(|L_i|^2) expm1(indep_i^2)``,
+
+    the second term restoring the diagonal's independent part.  This is
+    the covariance sum itself, not ``E[S^2] - E[S]^2``, so no
+    cancellation amplifies rounding at small variance, and the work is
+    ``O(n)`` plus a ``G x G`` Gram matrix.
     """
     log_means = np.asarray(log_means, dtype=float)
     global_loadings = np.atleast_2d(np.asarray(global_loadings, dtype=float))
@@ -145,16 +177,13 @@ def sum_of_lognormals(
     means = np.exp(log_means + 0.5 * var_i)
     total_mean = float(means.sum())
 
-    total_second = 0.0  # sum_ij E[Xi Xj]
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        # c_block[b, j] = L_{start+b} . L_j
-        c_block = global_loadings[start:stop] @ global_loadings.T
-        block_idx = np.arange(start, stop)
-        c_block[np.arange(stop - start), block_idx] += indep_sigmas[start:stop] ** 2
-        total_second += float(means[start:stop] @ np.exp(c_block) @ means)
-
-    variance = max(total_second - total_mean * total_mean, 0.0)
+    first, inverse = loading_groups(global_loadings)
+    group_rows = global_loadings[first]
+    gram = group_rows @ group_rows.T
+    group_means = np.bincount(inverse, weights=means, minlength=first.shape[0])
+    shared = float(group_means @ np.expm1(gram) @ group_means)
+    own = np.exp(np.diagonal(gram))[inverse] * np.expm1(indep_sigmas**2)
+    variance = max(shared + float(means**2 @ own), 0.0)
     mu, sigma = lognormal_params_from_moments(total_mean, variance)
     return LognormalSummary(mean=total_mean, std=math.sqrt(variance), mu=mu, sigma=sigma)
 

@@ -82,3 +82,40 @@ class TestAnalytic:
             operating_point["tmax"], operating_point["cap"],
         )
         assert py.correlation < -0.3
+
+
+class TestZeroVariance:
+    """With no variation both yields are steps at the deterministic values."""
+
+    @pytest.fixture
+    def flat(self, c17):
+        from repro.circuit import build_variation_model
+        from repro.variation import VariationSpec
+
+        spec = VariationSpec(sigma_l_total=0.0, sigma_vth_total=0.0)
+        varmodel = build_variation_model(c17, spec)
+        delay = run_ssta(c17, varmodel).circuit_delay
+        leak = analyze_statistical_leakage(c17, varmodel)
+        return c17, varmodel, delay, leak
+
+    def test_timing_half(self, flat):
+        circuit, varmodel, delay, leak = flat
+        assert delay.sigma == 0.0
+        delay, power = delay.mean, leak.mean_power
+        tight = analytic_parametric_yield(circuit, varmodel, 0.9 * delay, 2.0 * power)
+        assert tight.timing_yield == 0.0
+        assert tight.timing_yield == run_ssta(circuit, varmodel).timing_yield(0.9 * delay)
+        assert tight.joint_yield == pytest.approx(0.0, abs=1e-12)
+        loose = analytic_parametric_yield(circuit, varmodel, 1.1 * delay, 2.0 * power)
+        assert loose.timing_yield == 1.0
+
+    def test_leakage_half(self, flat):
+        circuit, varmodel, delay, leak = flat
+        assert leak.std_current == 0.0
+        delay, power = delay.mean, leak.mean_power
+        tight = analytic_parametric_yield(circuit, varmodel, 2.0 * delay, 0.5 * power)
+        assert tight.leakage_yield == 0.0
+        assert tight.joint_yield == pytest.approx(0.0, abs=1e-12)
+        loose = analytic_parametric_yield(circuit, varmodel, 2.0 * delay, 1.1 * power)
+        assert loose.leakage_yield == 1.0
+        assert loose.joint_yield == pytest.approx(1.0, abs=1e-12)

@@ -1,5 +1,6 @@
 """The telemetry subsystem: metrics, spans, worker absorption, exports."""
 
+import gc
 import json
 import multiprocessing
 import os
@@ -464,6 +465,9 @@ class TestOptimizeSpanCoverage:
 
         varmodel = build_variation_model(c432, spec)
         path = tmp_path / "trace.jsonl"
+        # A collection pause left over from earlier tests would land in
+        # whichever stretch of the ~0.4 s flow it hits; start clean.
+        gc.collect()
         with telemetry_session(path=path):
             optimize_statistical(c432, spec, varmodel)
         spans = span_records(read_events(path))
@@ -478,8 +482,8 @@ class TestOptimizeSpanCoverage:
             if s["name"] in self.CONTAINERS
         )
         names = {s["name"] for s in spans}
-        assert {"opt.candidates", "opt.objective", "ssta.delays",
-                "ssta.propagate", "ssta.criticality"} <= names
+        assert {"opt.setup", "opt.candidates", "opt.objective", "ssta.delays",
+                "ssta.propagate", "ssta.criticality", "leakage.analyze"} <= names
         assert 1.0 - uncovered / flow["dur"] >= 0.95
 
 
@@ -500,3 +504,21 @@ class TestSSTAReuseCounter:
         assert all(s.attrs["reused"] for s in skipped)
         assert not any(s.attrs["reused"] for s in runs if s.span_id in propagated)
         assert tele.counter("ssta_runs_total").value == len(runs)
+
+
+class TestLeakageCounter:
+    def test_one_evaluation_per_objective_and_snapshot(self, c432, spec):
+        from repro.circuit import build_variation_model
+        from repro.core import optimize_statistical
+
+        varmodel = build_variation_model(c432, spec)
+        with telemetry_session() as tele:
+            optimize_statistical(c432, spec, varmodel)
+        objectives = tele.finished_spans("opt.objective")
+        evals = tele.finished_spans("leakage.analyze")
+        assert objectives
+        assert len(tele.finished_spans("opt.metrics")) == 2
+        assert tele.counter("leakage_evals_total").value == len(objectives) + 2
+        assert len(evals) == len(objectives) + 2
+        assert all(s.attrs["gates"] == c432.n_gates for s in evals)
+        assert all(1 <= s.attrs["groups"] <= 16 for s in evals)
