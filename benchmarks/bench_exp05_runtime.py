@@ -9,8 +9,9 @@ with proper pytest-benchmark statistics (it is fast enough to repeat).
 Every run appends one row per circuit to ``BENCH_optimize.json`` at the
 repository root, so the file is a trajectory of the flow's runtime across
 source versions.  A row holds the wall time of an untraced run; the
-per-span self seconds and SSTA counters of a second run of the same
-circuit under a telemetry session; the flow's outcome (moves kept and
+per-span self seconds and every counter (``counters``: SSTA runs and
+reuses, merge calls, STA runs, moves evaluated, ...) of a second run of
+the same circuit under a telemetry session; the flow's outcome (moves kept and
 reverted, final mean and p95 leakage, yield); and what was measured
 where (``src/`` lines, CPU count, git sha of the measured source).
 """
@@ -49,6 +50,19 @@ def span_self_seconds(spans) -> dict:
     for span in spans:
         self_seconds[span.name] += span.duration - covered[span.span_id]
     return dict(sorted(self_seconds.items()))
+
+
+def session_counters(tele) -> dict:
+    """Every counter of a telemetry session, keyed ``name`` or
+    ``name{label=value,...}``."""
+    counters = {}
+    for sample in tele.snapshot():
+        if sample.kind == "counter":
+            labels = ",".join(f"{k}={v}" for k, v in sample.labels)
+            counters[f"{sample.name}{{{labels}}}" if labels else sample.name] = int(
+                sample.value
+            )
+    return counters
 
 
 def source_provenance() -> dict:
@@ -98,6 +112,7 @@ def measure(name: str, config: OptimizerConfig) -> dict:
         "span_self_seconds": span_self_seconds(tele.finished_spans()),
         "ssta_runs_total": int(tele.counter("ssta_runs_total").value),
         "ssta_reused_total": int(tele.counter("ssta_reused_total").value),
+        "counters": session_counters(tele),
     }
 
 

@@ -10,23 +10,62 @@ Design decisions
   gate or primary input driving it); the circuit resolves names to indices
   once, on :meth:`Circuit.freeze`, after which topological order, levels,
   and fanout maps are cached arrays.
-* The *implementation state* (drive ``size`` and :class:`VthClass`) is
-  mutable per gate — this is what the optimizers search over — while the
-  *structure* is frozen.  :meth:`Circuit.assignment` /
+* The *implementation state* (drive ``size``, :class:`VthClass` and
+  length bias) is mutable per gate — this is what the optimizers search
+  over — while the *structure* is frozen.  Freezing moves the state into
+  one dense-order array per field (:class:`StateArrays`), which the
+  gate attributes then read and write, so batched kernels gather state
+  without walking gate objects.  :meth:`Circuit.assignment` /
   :meth:`Circuit.apply_assignment` snapshot and restore that state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import NetlistError
-from ..tech.library import Cell, Library
+from ..tech.library import VTH_CLASSES, VTH_CODES, Cell, Library
 from ..tech.technology import VthClass
 
 
-@dataclass
+class StateArrays:
+    """A frozen circuit's implementation state, one dense-order array per field.
+
+    ``sizes``, ``vths`` (codes into :data:`~repro.tech.library.VTH_CLASSES`)
+    and ``length_biases`` are the state.  ``size_codes`` (the size's grid
+    position, ``-1`` off the grid; see :meth:`Library.size_code`) follows
+    ``sizes`` on every write through :meth:`set_size`, and ``cells``
+    (library cell ids) is structure.  Write through the gates or the
+    setters, never into the arrays directly.
+    """
+
+    __slots__ = ("cells", "sizes", "size_codes", "vths", "length_biases", "_library")
+
+    def __init__(self, library: Library, gates: Sequence["Gate"]) -> None:
+        self._library = library
+        self.cells = np.array(
+            [library.cell_ids[g.cell_name] for g in gates], dtype=np.intp
+        )
+        self.sizes = np.array([g._size for g in gates], dtype=float)
+        self.size_codes = np.array(
+            [library.size_code(g._size) for g in gates], dtype=np.intp
+        )
+        self.vths = np.array([VTH_CODES[g._vth] for g in gates], dtype=np.intp)
+        self.length_biases = np.array([g._length_bias for g in gates], dtype=float)
+
+    def set_size(self, index: int, size: float) -> None:
+        """Set one gate's drive size."""
+        self.sizes[index] = size
+        self.size_codes[index] = self._library.size_code(size)
+
+    def set_vth(self, index: int, vth: VthClass) -> None:
+        """Set one gate's Vth flavour."""
+        self.vths[index] = VTH_CODES[vth]
+
+
 class Gate:
     """One library-cell instance.
 
@@ -46,20 +85,82 @@ class Gate:
         Deliberate channel-length increase [m] (gate-length biasing):
         slows the gate slightly, cuts its leakage exponentially —
         implementation state, 0 unless the optimizer uses the knob.
+
+    Until its circuit is frozen a gate holds its own state; from then on
+    ``size``, ``vth`` and ``length_bias`` read and write the circuit's
+    :class:`StateArrays` (reads return a ``float`` / :class:`VthClass`).
     """
 
-    name: str
-    cell_name: str
-    fanins: Tuple[str, ...]
-    size: float = 1.0
-    vth: VthClass = VthClass.LOW
-    length_bias: float = 0.0
+    __slots__ = ("name", "cell_name", "fanins", "_size", "_vth", "_length_bias",
+                 "_state", "_index")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        cell_name: str,
+        fanins: Tuple[str, ...],
+        size: float = 1.0,
+        vth: VthClass = VthClass.LOW,
+        length_bias: float = 0.0,
+    ) -> None:
+        if not name:
             raise NetlistError("gate name must be non-empty")
-        if not self.fanins:
-            raise NetlistError(f"gate {self.name!r} has no fanins")
+        if not fanins:
+            raise NetlistError(f"gate {name!r} has no fanins")
+        self.name = name
+        self.cell_name = cell_name
+        self.fanins = fanins
+        self._size = size
+        self._vth = vth
+        self._length_bias = length_bias
+        self._state: Optional[StateArrays] = None
+        self._index = -1
+
+    @property
+    def size(self) -> float:
+        if self._state is None:
+            return self._size
+        return self._state.sizes.item(self._index)
+
+    @size.setter
+    def size(self, value: float) -> None:
+        if self._state is None:
+            self._size = value
+        else:
+            self._state.set_size(self._index, value)
+
+    @property
+    def vth(self) -> VthClass:
+        if self._state is None:
+            return self._vth
+        return VTH_CLASSES[self._state.vths.item(self._index)]
+
+    @vth.setter
+    def vth(self, value: VthClass) -> None:
+        if self._state is None:
+            self._vth = value
+        else:
+            self._state.set_vth(self._index, value)
+
+    @property
+    def length_bias(self) -> float:
+        if self._state is None:
+            return self._length_bias
+        return self._state.length_biases.item(self._index)
+
+    @length_bias.setter
+    def length_bias(self, value: float) -> None:
+        if self._state is None:
+            self._length_bias = value
+        else:
+            self._state.length_biases[self._index] = value
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Gate(name={self.name!r}, cell_name={self.cell_name!r}, "
+            f"fanins={self.fanins!r}, size={self.size!r}, vth={self.vth!r}, "
+            f"length_bias={self.length_bias!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -105,6 +206,8 @@ class Circuit:
         self._levels: Dict[str, int] = {}
         self._fanouts: Dict[str, List[str]] = {}
         self._gate_index: Dict[str, int] = {}
+        self._state: Optional[StateArrays] = None
+        self._insertion_order = np.empty(0, dtype=np.intp)
 
     # -- construction ---------------------------------------------------------
 
@@ -168,6 +271,13 @@ class Circuit:
             if out not in known:
                 raise NetlistError(f"{self.name}: undefined primary output {out!r}")
         self._build_topology()
+        gates = [self._gates[name] for name in self._topo]
+        self._state = StateArrays(self.library, gates)
+        for index, gate in enumerate(gates):
+            gate._state, gate._index = self._state, index
+        self._insertion_order = np.array(
+            [self._gate_index[name] for name in self._gates], dtype=np.intp
+        )
         self._frozen = True
         return self
 
@@ -254,14 +364,19 @@ class Circuit:
 
     # -- implementation state -------------------------------------------------------
 
+    @property
+    def state(self) -> StateArrays:
+        """The implementation state as dense-order arrays (freezes the circuit)."""
+        self.freeze()
+        return self._state  # type: ignore[return-value]
+
     def assignment(self) -> GateAssignment:
         """Snapshot of all gate sizes and Vth flavours (topological order)."""
-        self.freeze()
-        gates = self.indexed_gates()
+        state = self.state
         return GateAssignment(
-            sizes=tuple(g.size for g in gates),
-            vths=tuple(g.vth for g in gates),
-            length_biases=tuple(g.length_bias for g in gates),
+            sizes=tuple(state.sizes.tolist()),
+            vths=tuple(VTH_CLASSES[code] for code in state.vths.tolist()),
+            length_biases=tuple(state.length_biases.tolist()),
         )
 
     def apply_assignment(self, assignment: GateAssignment) -> None:
@@ -297,14 +412,16 @@ class Circuit:
 
     def count_vth(self) -> Dict[VthClass, int]:
         """Gate counts per Vth flavour."""
-        counts = {VthClass.LOW: 0, VthClass.HIGH: 0}
-        for gate in self._gates.values():
-            counts[gate.vth] += 1
-        return counts
+        counts = np.bincount(self.state.vths, minlength=len(VTH_CLASSES))
+        return {vth: int(counts[code]) for code, vth in enumerate(VTH_CLASSES)}
 
     def total_device_width(self) -> float:
-        """Sum of gate sizes — the area proxy used by sizing experiments."""
-        return sum(g.size for g in self._gates.values())
+        """Sum of gate sizes — the area proxy used by sizing experiments.
+
+        Summed one gate at a time in insertion order, as the gates were
+        added.
+        """
+        return sum(self.state.sizes[self._insertion_order].tolist())
 
     # -- summaries -----------------------------------------------------------------
 

@@ -20,11 +20,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..power.probability import gate_input_probabilities, signal_probabilities
-from ..power.leakage import GateLeakageMemo
+from ..power.leakage import GateLeakage
 from ..tech.corners import ProcessCorner, slow_corner
 from ..tech.technology import VthClass
 from ..telemetry import get_telemetry
@@ -95,23 +97,23 @@ class DeterministicStrategy(ConstraintStrategy):
         self._tracker().notify(move.index, size_changed=move.kind == "size")
 
     @cached_property
-    def _leakage(self) -> GateLeakageMemo:
-        """Nominal gate leakage, memoized for this run's objective calls."""
+    def _leakage(self) -> GateLeakage:
+        """Nominal gate leakage at this run's input probabilities."""
         circuit = self.view.circuit
-        return GateLeakageMemo(circuit, gate_input_probabilities(circuit, self.probs))
+        return GateLeakage(circuit, gate_input_probabilities(circuit, self.probs))
 
     def objective(self) -> float:
         return float(self._leakage.currents().sum())
 
-    def move_allowed(self, state: _DetState, move: Move, delay_cost: float) -> bool:
-        slack = float(state.sta.slacks[move.index])
-        return delay_cost * self._corner_factor <= slack * self.config.slack_safety
-
-    def move_cost(self, state: _DetState, move: Move, delay_cost: float) -> float:
+    def move_costs(
+        self, state: _DetState, index: np.ndarray, delay_cost: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        slack = state.sta.slacks[index]
+        allowed = delay_cost * self._corner_factor <= slack * self.config.slack_safety
         # Moves that eat a large fraction of their gate's corner slack are
         # expensive; slack-rich gates are nearly free.
-        slack = max(float(state.sta.slacks[move.index]), 1e-15)
-        return delay_cost * self._corner_factor / slack
+        slack = np.maximum(slack[allowed], 1e-15)
+        return allowed, delay_cost[allowed] * self._corner_factor / slack
 
 
 def optimize_deterministic(

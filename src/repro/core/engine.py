@@ -21,19 +21,23 @@ exact analyses run per *chunk*, not per candidate.
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from ..errors import InfeasibleConstraintError
-from ..power.leakage import GateLeakageMemo
+from ..power.leakage import GateLeakage
 from ..telemetry import get_telemetry
 from ..timing.graph import TimingView
 from .config import OptimizerConfig
 from .moves import (
     Move,
+    MoveBatch,
     apply_move,
-    candidate_moves,
-    leakage_gain,
-    own_delay_cost,
+    enumerate_moves,
+    leakage_gains,
+    own_delay_costs,
     revert_move,
 )
 from .result import PassRecord
@@ -111,7 +115,7 @@ class ConstraintStrategy(abc.ABC):
     @abc.abstractmethod
     def analyze(self) -> object:
         """Run the flow's timing analysis; returns an opaque state object
-        consumed by :meth:`move_allowed` and :meth:`move_cost`."""
+        consumed by :meth:`move_costs`."""
 
     @abc.abstractmethod
     def is_feasible(self) -> bool:
@@ -122,12 +126,17 @@ class ConstraintStrategy(abc.ABC):
         """Exact objective at the circuit's current state (lower better)."""
 
     @abc.abstractmethod
-    def move_allowed(self, state: object, move: Move, delay_cost: float) -> bool:
-        """Cheap local filter: does the move plausibly fit in its slack?"""
+    def move_costs(
+        self, state: object, index: np.ndarray, delay_cost: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Local filter and cost of a batch of moves.
 
-    @abc.abstractmethod
-    def move_cost(self, state: object, move: Move, delay_cost: float) -> float:
-        """Expected circuit-delay cost of the move (ranking denominator)."""
+        ``index`` and ``delay_cost`` (each move's own-delay increase,
+        clamped at 0) hold one entry per move.  Returns ``(allowed,
+        cost)``: the mask of moves that plausibly fit in their slack (a
+        cheap local filter), and the expected circuit-delay cost -- the
+        ranking denominator -- of each allowed move, in batch order.
+        """
 
     def on_move_applied(self, move: Move) -> None:
         """Hook: a move was just applied (incremental-analysis strategies
@@ -135,6 +144,21 @@ class ConstraintStrategy(abc.ABC):
 
     def on_move_reverted(self, move: Move) -> None:
         """Hook: a previously applied move was just reverted."""
+
+
+@dataclass(frozen=True)
+class ScoredMoves:
+    """Candidate moves in rank order, with their scores."""
+
+    moves: MoveBatch
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.moves)
+
+    def head(self, k: int) -> List[Move]:
+        """The ``k`` best moves as :class:`Move` objects."""
+        return [self.moves.move(i) for i in range(min(k, len(self)))]
 
 
 class GreedyEngine:
@@ -151,7 +175,7 @@ class GreedyEngine:
         self.strategy = strategy
         self.config = config
         self.gate_probs = gate_probs
-        self.leakage = GateLeakageMemo(view.circuit, gate_probs)
+        self.leakage = GateLeakage(view.circuit, gate_probs)
 
     def run(self) -> Tuple[List[PassRecord], int]:
         """Run to convergence; returns (pass records, total moves kept).
@@ -185,9 +209,8 @@ class GreedyEngine:
                 tele.counter("opt_candidates_total", flow=flow).inc(len(scored))
                 if not scored:
                     break
-                chunk = scored[:chunk_size]
                 applied: List[Tuple[Move, Tuple[float, object]]] = []
-                for _, move in chunk:
+                for move in scored.head(chunk_size):
                     applied.append((move, apply_move(self.view, move)))
                     self.strategy.on_move_applied(move)
                 with tele.span("opt.validate", flow=flow, chunk=len(applied)):
@@ -222,32 +245,39 @@ class GreedyEngine:
 
     def _collect_candidates(
         self, state: object, tabu: Set[Tuple[int, str, object]]
-    ) -> List[Tuple[float, Move]]:
-        scored: List[Tuple[float, Move]] = []
-        loads = self.view.load_caps().tolist()
-        for move in candidate_moves(
+    ) -> "ScoredMoves":
+        """Every allowed, non-tabu move with a leakage gain, best first.
+
+        One array pass: enumerate, drop tabu moves, keep positive gains,
+        clamp own-delay costs at 0, let the strategy filter and cost the
+        batch, score ``gain / max(cost, floor)``, and sort by score
+        descending, ties broken by gate index and then kind name.
+        """
+        config = self.config
+        batch = enumerate_moves(
             self.view,
-            self.config.enable_vth,
-            self.config.enable_sizing,
-            self.config.enable_lbias,
-            self.config.lbias_step,
-            self.config.lbias_max,
-        ):
-            if move.key() in tabu:
-                continue
-            gain = leakage_gain(self.view, move, self.leakage)
-            if gain <= 0.0:
-                continue
-            delay_cost = own_delay_cost(self.view, move, loads[move.index])
-            if delay_cost < 0.0:
-                delay_cost = 0.0  # downsizing an overloaded stage can help
-            if not self.strategy.move_allowed(state, move, delay_cost):
-                continue
-            cost = max(self.strategy.move_cost(state, move, delay_cost), _COST_FLOOR)
-            scored.append((gain / cost, move))
-        # Sort by score descending; tie-break on gate index for determinism.
-        scored.sort(key=lambda item: (-item[0], item[1].index, item[1].kind))
-        return scored
+            config.enable_vth,
+            config.enable_sizing,
+            config.enable_lbias,
+            config.lbias_step,
+            config.lbias_max,
+        )
+        get_telemetry().counter(
+            "opt_moves_evaluated_total", flow=self.strategy.name
+        ).inc(len(batch))
+        if tabu:
+            batch = batch.take(~batch.matches(list(tabu)))
+        gain = leakage_gains(self.view, batch, self.leakage)
+        positive = gain > 0.0
+        batch, gain = batch.take(positive), gain[positive]
+        loads = self.view.load_caps()[batch.index]
+        delay_cost = own_delay_costs(self.view, batch, loads)
+        delay_cost[delay_cost < 0.0] = 0.0  # downsizing an overloaded stage can help
+        allowed, cost = self.strategy.move_costs(state, batch.index, delay_cost)
+        batch, gain = batch.take(allowed), gain[allowed]
+        score = gain / np.maximum(cost, _COST_FLOOR)
+        order = np.lexsort((batch.kind, batch.index, -score))
+        return ScoredMoves(batch.take(order), score[order])
 
     def _validate_and_rollback(
         self,

@@ -7,6 +7,7 @@ from typing import Mapping, Optional
 from ..circuit.netlist import Circuit
 from ..power.dynamic import analyze_dynamic_power
 from ..power.leakage import analyze_leakage
+from ..power.probability import switching_activities
 from ..power.statistical import analyze_statistical_leakage
 from ..tech.corners import ProcessCorner
 from ..tech.technology import VthClass
@@ -43,7 +44,9 @@ def snapshot_metrics(
             derate_rdf_with_size=config.derate_rdf_with_size,
         )
         nominal_leak = analyze_leakage(circuit, probs=probs)
-        dynamic = analyze_dynamic_power(view)
+        dynamic = analyze_dynamic_power(
+            view, activities=switching_activities(circuit, probs)
+        )
     counts = circuit.count_vth()
     n = circuit.n_gates
     return MetricsSnapshot(

@@ -28,11 +28,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..engines import get_engine
-from ..power.leakage import GateLeakageMemo
+from ..power.leakage import GateLeakage
 from ..power.probability import gate_input_probabilities, signal_probabilities
 from ..power.statistical import analyze_statistical_leakage
 from ..tech.corners import slow_corner
@@ -47,7 +49,6 @@ from ..variation.parameters import VariationSpec
 from .config import OptimizerConfig
 from .engine import ConstraintStrategy, run_phased
 from .metrics import snapshot_metrics
-from .moves import Move
 from .result import OptimizationResult
 from .sizing import minimize_delay
 
@@ -80,6 +81,11 @@ class StatisticalStrategy(ConstraintStrategy):
         self.target_delay = target_delay
         self.config = config
         self.probs = probs
+        from scipy import stats
+
+        #: Standard-normal quantile of the yield target (the config is
+        #: frozen, so once per strategy).
+        self._z = float(stats.norm.ppf(config.yield_target))
 
     def analyze(self) -> _StatState:
         # The yield constraint P(D <= Tmax) >= eta binds, in the mean
@@ -89,10 +95,7 @@ class StatisticalStrategy(ConstraintStrategy):
         # filter admits moves that the exact SSTA validation must then
         # reject one chunk at a time.
         ssta = run_ssta(self.view, self.varmodel)
-        from scipy import stats
-
-        z = float(stats.norm.ppf(self.config.yield_target))
-        effective = self.target_delay - z * ssta.circuit_delay.sigma
+        effective = self.target_delay - self._z * ssta.circuit_delay.sigma
         effective = max(effective, 0.5 * ssta.circuit_delay.mean)
         return _StatState(
             sta=run_sta(self.view, target_delay=effective),
@@ -136,10 +139,10 @@ class StatisticalStrategy(ConstraintStrategy):
             return result.yield_at(self.target_delay)
 
     @cached_property
-    def _leakage(self) -> GateLeakageMemo:
-        """Nominal gate leakage, memoized for this run's objective calls."""
+    def _leakage(self) -> GateLeakage:
+        """Nominal gate leakage at this run's input probabilities."""
         circuit = self.view.circuit
-        return GateLeakageMemo(circuit, gate_input_probabilities(circuit, self.probs))
+        return GateLeakage(circuit, gate_input_probabilities(circuit, self.probs))
 
     def objective(self) -> float:
         stat = analyze_statistical_leakage(
@@ -150,20 +153,22 @@ class StatisticalStrategy(ConstraintStrategy):
         )
         return stat.high_confidence_power(self.config.confidence_k)
 
-    def move_allowed(self, state: _StatState, move: Move, delay_cost: float) -> bool:
+    def move_costs(
+        self, state: _StatState, index: np.ndarray, delay_cost: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         # Mean-slack filter against the effective (sigma-guarded) budget.
-        slack = float(state.sta.slacks[move.index])
-        return delay_cost <= slack * self.config.slack_safety
-
-    def move_cost(self, state: _StatState, move: Move, delay_cost: float) -> float:
+        slack = state.sta.slacks[index]
+        allowed = delay_cost <= slack * self.config.slack_safety
+        if not allowed.any():  # criticality is computed on first read
+            return allowed, np.empty(0)
         # Two statistical prices multiply: how much of the gate's
         # effective mean slack the move consumes, and how likely the gate
         # is to sit on the critical path.  Slack-rich, rarely-critical
         # gates rank as nearly free; tight or frequently-critical gates
         # rank as expensive.
-        crit = max(float(state.ssta.criticality[move.index]), _CRITICALITY_FLOOR)
-        slack = max(float(state.sta.slacks[move.index]), 1e-15)
-        return delay_cost * crit / slack
+        crit = np.maximum(state.ssta.criticality[index[allowed]], _CRITICALITY_FLOOR)
+        slack = np.maximum(slack[allowed], 1e-15)
+        return allowed, delay_cost[allowed] * crit / slack
 
 
 def optimize_statistical(

@@ -2,7 +2,7 @@
 
 from .dynamic import DEFAULT_CLOCK_HZ, DynamicPower, analyze_dynamic_power
 from .leakage import (
-    GateLeakageMemo,
+    GateLeakage,
     LeakageBreakdown,
     analyze_leakage,
     gate_leakage_currents,
@@ -26,7 +26,7 @@ __all__ = [
     "DEFAULT_CLOCK_HZ",
     "DEFAULT_CONFIDENCE_K",
     "DynamicPower",
-    "GateLeakageMemo",
+    "GateLeakage",
     "LeakageBreakdown",
     "MCLeakageResult",
     "StatisticalLeakage",

@@ -57,9 +57,11 @@ def analyze_dynamic_power(
     if activities is None:
         activities = switching_activities(circuit)
     vdd = circuit.library.tech.vdd
+    loads = view.load_caps().tolist()
+    sizes = view.state.sizes.tolist()
     powers = np.empty(view.n_gates)
     for i, gate in enumerate(view.gates):
-        cap = view.load_cap_of(i) + view.cells[i].parasitic_cap(gate.size)
+        cap = loads[i] + view.cells[i].parasitic_cap(sizes[i])
         a = activities[gate.name]
         powers[i] = 0.5 * a * cap * vdd * vdd * frequency
     return DynamicPower(powers=powers, frequency=frequency)

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..circuit.netlist import Circuit, Gate
+from ..circuit.netlist import Circuit
 from ..errors import PowerError
 from ..tech.corners import ProcessCorner
-from ..tech.technology import VthClass
-from .probability import signal_probabilities
+from .probability import gate_input_probabilities, signal_probabilities
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,100 @@ class LeakageBreakdown:
         return float(self.currents[index]) * self.vdd
 
 
+class GateLeakage:
+    """Nominal gate leakage currents at any implementation state.
+
+    A gate's mean current weighs its input states by their probability,
+    and the weights depend only on the gate's input probabilities, so
+    they are built once, here, for the whole circuit; every evaluation
+    then gathers state rows from the library's leakage table
+    (:meth:`LibraryTables.leakage_rows`).  Each current is bit for bit
+    :meth:`Cell.leakage`'s value: the gate's ``Cell.leakage_by_state`` row
+    (size applied) is zero-padded to the widest gate's ``2**width``
+    states; state weights start at 1.0 and multiply by ``p`` or ``1 - p``
+    bit by bit, with zero-padded input probabilities (so bits past a
+    gate's arity multiply by exactly 1.0 and states past its ``2**n``
+    weigh 0); the weighted states accumulate from state 0 up
+    (``np.add.accumulate`` along the row, whose running sum is that
+    sequential loop); and a gate with a length (corner plus bias) or Vth
+    deviation is scaled by ``math.exp`` of its exponent, one gate at a
+    time, because NumPy's ``exp`` may differ in the last ulp.
+
+    ``gate_probs`` maps each gate name to its input probabilities (as
+    :func:`~repro.power.probability.gate_input_probabilities` returns).
+    """
+
+    def __init__(
+        self, circuit: Circuit, gate_probs: Mapping[str, Sequence[float]]
+    ) -> None:
+        self._state = circuit.state
+        self._tables = circuit.library.tables
+        self._sensitivities = circuit.library.log_leakage_sensitivities
+        fanin_probs = [list(gate_probs[g.name]) for g in circuit.indexed_gates()]
+        width = max(map(len, fanin_probs))
+        pins = np.array([p + [0.0] * (width - len(p)) for p in fanin_probs])
+        self._n_states = 1 << width
+        state_bits = np.arange(self._n_states)
+        weights = np.ones((len(fanin_probs), self._n_states))
+        for bit in range(width):
+            p = pins[:, bit : bit + 1]
+            weights *= np.where((state_bits >> bit) & 1 == 1, p, 1.0 - p)
+        self._weights = weights
+
+    def currents(self, corner: Optional[ProcessCorner] = None) -> np.ndarray:
+        """Leakage current of every gate at its current state [A], dense order.
+
+        The corner applies the shared exponential process factor.
+        """
+        state = self._state
+        return self._evaluate(
+            self._weights, state.cells, state.vths, state.size_codes,
+            state.sizes, state.length_biases,
+            corner.delta_l if corner is not None else 0.0,
+            corner.delta_vth0 if corner is not None else 0.0,
+        )
+
+    def currents_at(
+        self,
+        index: np.ndarray,
+        vths: np.ndarray,
+        size_codes: np.ndarray,
+        sizes: np.ndarray,
+        length_biases: np.ndarray,
+    ) -> np.ndarray:
+        """Nominal leakage currents of gates ``index`` at the given states
+        (Vth codes, size codes, sizes and length biases, one per entry) [A]."""
+        return self._evaluate(
+            self._weights[index], self._state.cells[index], vths, size_codes,
+            sizes, length_biases, 0.0, 0.0,
+        )
+
+    def _evaluate(
+        self,
+        weights: np.ndarray,
+        cells: np.ndarray,
+        vths: np.ndarray,
+        size_codes: np.ndarray,
+        sizes: np.ndarray,
+        length_biases: np.ndarray,
+        delta_l: float,
+        delta_v: float,
+    ) -> np.ndarray:
+        states = self._tables.leakage_rows(
+            cells, vths, size_codes, sizes, self._n_states
+        )
+        currents = np.add.accumulate(weights * states, axis=1)[:, -1].copy()
+        # A deliberate length bias enters exactly like a process Leff
+        # shift: exponentially less leakage for a slightly longer channel.
+        d_l = delta_l + length_biases
+        shifted = np.flatnonzero((d_l != 0.0) | (delta_v != 0.0))  # lint: ignore[RPR402] exact zero is Cell.leakage's no-deviation fast path, not a tolerance test
+        if shifted.size:
+            s_l, s_v = self._sensitivities
+            exponents = s_l * d_l[shifted] + s_v * delta_v
+            currents[shifted] *= [math.exp(x) for x in exponents.tolist()]
+        return currents
+
+
 def gate_leakage_currents(
     circuit: Circuit,
     probs: Optional[Mapping[str, float]] = None,
@@ -55,120 +148,14 @@ def gate_leakage_currents(
     """Mean leakage current of every gate [A], dense (topological) order.
 
     ``probs`` are net signal probabilities (computed if omitted); the
-    corner applies the shared exponential process factor.
-
-    All gates are evaluated in one pass with :meth:`Cell.leakage`'s
-    per-element arithmetic in its order, so each current is bit for bit
-    that method's value: the gate's ``Cell.leakage_by_state`` row (size
-    applied and range-checked) is zero-padded to the widest gate's
-    ``2**width`` states; state weights start at 1.0 and multiply by ``p``
-    or ``1 - p`` bit by bit, with zero-padded input probabilities (so
-    bits past a gate's arity multiply by exactly 1.0 and states past its
-    ``2**n`` weigh 0); the weighted states accumulate from state 0 up;
-    and a gate with a length (corner plus bias) or Vth deviation is
-    scaled by ``math.exp`` of its exponent, one gate at a time, because
-    NumPy's ``exp`` may differ in the last ulp.
+    corner applies the shared exponential process factor.  One
+    :class:`GateLeakage` evaluation, bit for bit :meth:`Cell.leakage`.
     """
     circuit.freeze()
     if probs is None:
         probs = signal_probabilities(circuit)
-    delta_l = corner.delta_l if corner is not None else 0.0
-    delta_v = corner.delta_vth0 if corner is not None else 0.0
-    gates = circuit.indexed_gates()
-    rows: Dict[Tuple[str, VthClass, float], int] = {}
-    tables = []
-    table_of = []
-    for gate in gates:
-        key = (gate.cell_name, gate.vth, gate.size)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = len(tables)
-            tables.append(circuit.cell_of(gate).leakage_by_state(gate.size, gate.vth))
-        table_of.append(row)
-    fanin_probs = [[probs[f] for f in gate.fanins] for gate in gates]
-    width = max(map(len, fanin_probs))
-    pins = np.array([p + [0.0] * (width - len(p)) for p in fanin_probs])
-    n_states = 1 << width
-    padded = np.zeros((len(tables), n_states))
-    for row, table in enumerate(tables):
-        padded[row, : table.shape[0]] = table
-    states = padded[table_of]
-
-    weights = np.ones_like(states)
-    state_bits = np.arange(n_states)
-    for bit in range(width):
-        p = pins[:, bit : bit + 1]
-        weights *= np.where((state_bits >> bit) & 1 == 1, p, 1.0 - p)
-    currents = np.zeros(len(gates))
-    for state in range(n_states):
-        currents += weights[:, state] * states[:, state]
-
-    d_l = delta_l + np.array([gate.length_bias for gate in gates])
-    shifted = np.flatnonzero((d_l != 0.0) | (delta_v != 0.0))  # lint: ignore[RPR402] exact zero is Cell.leakage's no-deviation fast path, not a tolerance test
-    if shifted.size:
-        s_l, s_v = circuit.library.log_leakage_sensitivities
-        exponents = s_l * d_l[shifted] + s_v * delta_v
-        currents[shifted] *= [math.exp(x) for x in exponents.tolist()]
-    return currents
-
-
-def _gate_current(
-    circuit: Circuit,
-    gate: Gate,
-    input_probs: Sequence[float],
-    delta_l: float = 0.0,
-    delta_v: float = 0.0,
-) -> float:
-    """Mean leakage current of one gate at its current state [A]."""
-    # A deliberate length bias enters exactly like a process Leff shift:
-    # exponentially less leakage for a slightly longer channel.
-    return circuit.cell_of(gate).leakage(
-        gate.size, gate.vth, input_probs,
-        delta_l=delta_l + gate.length_bias, delta_vth0=delta_v,
-    )
-
-
-class GateLeakageMemo:
-    """Nominal gate leakage currents, memoized by implementation state.
-
-    :meth:`Cell.leakage` walks all ``2**n`` input states in Python, and an
-    optimization run asks for the same (gate, size, Vth, length bias)
-    points thousands of times -- every candidate move's gain, every
-    objective evaluation.  This memo answers repeats from a dict, with
-    the values :func:`gate_leakage_currents` computes (no corner).
-
-    Scope it to one optimization run: input probabilities are fixed at
-    construction, and every state the run visits stays in the memo, so
-    a longer-lived one would grow without bound.
-
-    ``gate_probs`` maps each gate name to its input probabilities (as
-    :func:`~repro.power.probability.gate_input_probabilities` returns);
-    a gate's entry is read on its first miss.
-    """
-
-    def __init__(
-        self, circuit: Circuit, gate_probs: Mapping[str, Sequence[float]]
-    ) -> None:
-        circuit.freeze()
-        self._circuit = circuit
-        self._gates = circuit.indexed_gates()
-        self._gate_probs = gate_probs
-        self._memo: Dict[Tuple[int, float, VthClass, float], float] = {}
-
-    def current(self, index: int) -> float:
-        """Leakage current of gate ``index`` at its current state [A]."""
-        gate = self._gates[index]
-        key = (index, gate.size, gate.vth, gate.length_bias)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = _gate_current(
-                self._circuit, gate, self._gate_probs[gate.name]
-            )
-        return value
-
-    def currents(self) -> np.ndarray:
-        """Leakage current of every gate at its current state [A], dense order."""
-        return np.array([self.current(i) for i in range(len(self._gates))])
+    gate_probs = gate_input_probabilities(circuit, probs)
+    return GateLeakage(circuit, gate_probs).currents(corner)
 
 
 def analyze_leakage(

@@ -148,10 +148,9 @@ def run_monte_carlo_leakage(
             currents=currents, vdd=vdd, samples=samples, stats=stats
         )
 
-    sizes = np.array([g.size for g in circuit.indexed_gates()])
     task = _LeakageShardTask(
         varmodel=varmodel,
-        relative_area=sizes,
+        relative_area=circuit.state.sizes.copy(),
         nominal=nominal,
         s_l=float(s_l),
         s_v=float(s_v),

@@ -93,7 +93,7 @@ def gate_log_leakage_terms(
     dense gate order, ready for
     :func:`repro.variation.lognormal.sum_of_lognormals`.
     ``nominal_currents`` passes per-gate nominal leakage the caller
-    already holds (e.g. from a :class:`~repro.power.leakage.GateLeakageMemo`);
+    already holds (e.g. from a :class:`~repro.power.leakage.GateLeakage`);
     by default it is computed from ``probs``.
     """
     circuit.freeze()
@@ -112,7 +112,7 @@ def gate_log_leakage_terms(
     s_l, s_v = circuit.library.log_leakage_sensitivities
     loadings = s_l * varmodel.l_loadings + s_v * varmodel.vth_loadings
     if relative_area is None:
-        relative_area = np.array([g.size for g in circuit.indexed_gates()])
+        relative_area = circuit.state.sizes.copy()
     vth_indep = varmodel.vth_indep_for(relative_area)
     indep = np.hypot(s_l * varmodel.l_indep, s_v * vth_indep)
     return np.log(nominal), loadings, indep

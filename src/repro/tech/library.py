@@ -30,7 +30,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +47,12 @@ from .technology import ChannelType, Technology, VthClass
 
 #: Default discrete size grid (multiples of the unit inverter drive).
 DEFAULT_SIZES: Tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+
+#: Vth flavours by integer code: the code a circuit's state arrays hold
+#: and the second axis of every :class:`LibraryTables` table.
+VTH_CLASSES: Tuple[VthClass, ...] = tuple(VthClass)
+#: Integer code of each Vth flavour (inverse of :data:`VTH_CLASSES`).
+VTH_CODES: Dict[VthClass, int] = {vth: code for code, vth in enumerate(VTH_CLASSES)}
 
 
 class StageTopology(enum.Enum):
@@ -385,6 +391,109 @@ class Cell:
             )
 
 
+class LibraryTables:
+    """Per-(cell, Vth, grid size) characterization tables of a library.
+
+    Every entry is the scalar query's own value at that grid point --
+    :meth:`Cell.input_cap`, :meth:`Cell.nominal_delay_coefficients`,
+    :meth:`Cell.leakage_by_state` (zero-padded to 16 states) and the
+    drive models' ``ln R`` sensitivities -- so a gather returns the bits
+    the query would.  Cells are indexed by :attr:`Library.cell_ids`, Vth
+    flavours by :data:`VTH_CLASSES` code and sizes by grid position.
+
+    The gathers take one entry per element (cell id, Vth code, size code,
+    size, ...).  An element whose size code is ``-1`` -- a size that is
+    not exactly a grid size -- falls back to the scalar query, which also
+    raises :class:`~repro.errors.LibraryError` for a size outside the
+    library's range.
+    """
+
+    def __init__(self, library: "Library") -> None:
+        self.cells: Tuple[Cell, ...] = tuple(library.cells.values())
+        #: The size grid, by size code.
+        self.grid = np.array(library.sizes)
+        n_cells, n_sizes = len(self.cells), len(library.sizes)
+        shape = (n_cells, len(VTH_CLASSES), n_sizes)
+        self.input_cap = np.empty((n_cells, n_sizes))
+        self.intrinsic = np.empty(shape)
+        self.slope = np.empty(shape)
+        self.leakage = np.zeros(shape + (16,))
+        for c, cell in enumerate(self.cells):
+            for s, size in enumerate(library.sizes):
+                self.input_cap[c, s] = cell.input_cap(size)
+                for v, vth in enumerate(VTH_CLASSES):
+                    self.intrinsic[c, v, s], self.slope[c, v, s] = (
+                        cell.nominal_delay_coefficients(size, vth)
+                    )
+                    states = cell.leakage_by_state(size, vth)
+                    self.leakage[c, v, s, : states.size] = states
+        models = [library.drive_model(vth) for vth in VTH_CLASSES]
+        #: Per Vth code: the drive model's ``d ln R / d delta_l`` and
+        #: ``d ln R / d delta_vth0``.
+        self.d_lnr_d_deltal = np.array([m.d_lnr_d_deltal for m in models])
+        self.d_lnr_d_deltavth = np.array([m.d_lnr_d_deltavth for m in models])
+
+    def _off_grid(self, size_codes: np.ndarray) -> list:
+        return np.flatnonzero(size_codes < 0).tolist()
+
+    def input_caps(
+        self, cells: np.ndarray, size_codes: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """Input capacitance of each element [F] (see :meth:`Cell.input_cap`)."""
+        caps = self.input_cap[cells, size_codes]
+        for k in self._off_grid(size_codes):
+            caps[k] = self.cells[cells[k]].input_cap(sizes[k])
+        return caps
+
+    def delay_coefficients(
+        self,
+        cells: np.ndarray,
+        vths: np.ndarray,
+        size_codes: np.ndarray,
+        sizes: np.ndarray,
+        length_biases: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(intrinsic, slope)`` of each element, length bias applied.
+
+        A nonzero bias multiplies both by the drive model's resistance
+        factor at ``delta_l = bias``, ``1 + x + x**2/2`` with
+        ``x = d_lnr_d_deltal * bias`` -- biasing slows the gate exactly
+        as a longer channel would.  Elements without a bias are left as
+        gathered.
+        """
+        intrinsic = self.intrinsic[cells, vths, size_codes]
+        slope = self.slope[cells, vths, size_codes]
+        for k in self._off_grid(size_codes):
+            intrinsic[k], slope[k] = self.cells[cells[k]].nominal_delay_coefficients(
+                sizes[k], VTH_CLASSES[vths[k]]
+            )
+        biased = np.flatnonzero(length_biases != 0.0)  # lint: ignore[RPR402] an exact zero bias leaves the coefficients untouched, not a tolerance test
+        if biased.size:
+            x = self.d_lnr_d_deltal[vths[biased]] * length_biases[biased]
+            factor = 1.0 + x + 0.5 * x * x
+            intrinsic[biased] *= factor
+            slope[biased] *= factor
+        return intrinsic, slope
+
+    def leakage_rows(
+        self,
+        cells: np.ndarray,
+        vths: np.ndarray,
+        size_codes: np.ndarray,
+        sizes: np.ndarray,
+        n_states: int,
+    ) -> np.ndarray:
+        """Each element's :meth:`Cell.leakage_by_state` row, zero-padded to
+        ``n_states`` columns [A]."""
+        rows = self.leakage[cells, vths, size_codes, :n_states]
+        for k in self._off_grid(size_codes):
+            cell, vth = self.cells[cells[k]], VTH_CLASSES[vths[k]]
+            states = cell.leakage_by_state(sizes[k], vth)
+            rows[k] = 0.0
+            rows[k, : states.size] = states
+        return rows
+
+
 class Library:
     """A dual-Vth, multi-size standard-cell library bound to a technology.
 
@@ -442,8 +551,20 @@ class Library:
         self.cells: Dict[str, Cell] = {
             t.name: Cell(t, self) for t in _builtin_templates()
         }
+        #: Dense integer id of each cell (the first axis of :attr:`tables`).
+        self.cell_ids: Dict[str, int] = {name: i for i, name in enumerate(self.cells)}
+        self._size_codes: Dict[float, int] = {s: i for i, s in enumerate(ordered)}
 
     # -- queries ----------------------------------------------------------------
+
+    @cached_property
+    def tables(self) -> LibraryTables:
+        """The characterization tables every batched gather reads (built once)."""
+        return LibraryTables(self)
+
+    def size_code(self, size: float) -> int:
+        """Grid position of ``size`` when it is exactly a grid size, else -1."""
+        return self._size_codes.get(size, -1)
 
     def cell(self, name: str) -> Cell:
         """Look up a cell by name (e.g. ``"NAND2"``)."""

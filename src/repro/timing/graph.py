@@ -3,9 +3,10 @@
 :class:`TimingView` extracts, once per circuit *structure*, the index
 arrays every timing engine needs (topological gate order, gate-fanin
 indices, consumer pin lists, primary-output membership) while reading the
-mutable implementation state (sizes, Vth flavours) live on each query —
-so one view serves an entire optimization run even as the optimizer
-rewrites sizes and thresholds.
+mutable implementation state (sizes, Vth flavours, length biases) live
+from the circuit's state arrays on each query — so one view serves an
+entire optimization run even as the optimizer rewrites sizes and
+thresholds.
 
 Loads follow the standard lumped model: a gate's output drives the input
 capacitance of every consumer pin, one wire-capacitance lump per fanout
@@ -19,13 +20,14 @@ deterministic STA, Monte-Carlo STA).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..errors import TimingError
-from ..tech.library import Cell
+from ..tech.library import VTH_CLASSES, Cell
 from ..tech.technology import VthClass
 
 if TYPE_CHECKING:
@@ -154,6 +156,12 @@ class LevelSchedule:
         """Padded fanin slots over all ranks (the flat edge-array length)."""
         return sum(matrix.size for _, matrix in self.levels)
 
+    @cached_property
+    def n_merges(self) -> int:
+        """Batched merge calls per forward pass: one per fanin column past
+        the first, rank by rank (``width - 1`` for every rank with fanins)."""
+        return sum(max(matrix.shape[1] - 1, 0) for _, matrix in self.levels)
+
 
 class TimingView:
     """Structure-frozen, state-live view of a circuit for timing engines."""
@@ -197,28 +205,23 @@ class TimingView:
             )
 
         self.cells: List[Cell] = [circuit.cell_of(g) for g in self.gates]
+        #: The circuit's implementation state arrays (read live).
+        self.state = circuit.state
+        self._tables = self.library.tables
         self._po_load = self.config.primary_output_load * self.library.c_in_unit
         self._wire_cap = self.library.tech.wire_cap_per_fanout
-        # (cell_name, size, vth) -> (intrinsic, slope) cache; the discrete
-        # size grid keeps this small across a whole optimization run.
-        self._coeff_cache: Dict[Tuple[str, float, VthClass, float], Tuple[float, float]] = {}
 
         #: The structure's rank schedule, shared by every batched kernel.
         self.schedule = LevelSchedule.build(self.fanin_gates)
         # Consumer-pin incidence in load_cap_of's summation order (loaded
         # nets in dense order, each net's pins in fanout order): pin p adds
-        # the input cap of consumer ``_consumers[_pin_slot[p]]`` to the
-        # load of net ``_pin_net[p]``.
+        # the input cap of gate ``_pin_gate[p]`` to the load of net
+        # ``_pin_net[p]``.
         pin_counts = np.array([pins.size for pins in self.consumer_pins], dtype=np.intp)
         self._pin_net = np.repeat(np.arange(self.n_gates), pin_counts)
-        consumers, self._pin_slot = np.unique(
-            np.concatenate(self.consumer_pins), return_inverse=True
-        )
-        self._consumers: List[int] = consumers.tolist()
+        self._pin_gate = np.concatenate(self.consumer_pins).astype(np.intp)
+        self._pin_cells = self.state.cells[self._pin_gate]
         self._wire_loads = self._wire_cap * pin_counts
-        # (cell, size) -> Cell.input_cap(size); misses run the library's
-        # size-range check.
-        self._input_cap_cache: Dict[Tuple[Cell, float], float] = {}
         #: The last SSTA result on this view and the gate-delay canonical
         #: rows it was propagated from (``None`` before the first run);
         #: :func:`~repro.timing.ssta.run_ssta` reuses it when the rows repeat.
@@ -227,12 +230,12 @@ class TimingView:
     # -- state-live queries ---------------------------------------------------
 
     def sizes(self) -> np.ndarray:
-        """Current gate sizes, dense order."""
-        return np.array([g.size for g in self.gates])
+        """Current gate sizes, dense order (a copy)."""
+        return self.state.sizes.copy()
 
     def vths(self) -> List[VthClass]:
         """Current Vth flavours, dense order."""
-        return [g.vth for g in self.gates]
+        return [VTH_CLASSES[code] for code in self.state.vths.tolist()]
 
     def load_caps(self) -> np.ndarray:
         """Current load capacitance of every gate's output net [F].
@@ -240,19 +243,15 @@ class TimingView:
         One ``np.bincount`` over the consumer-pin incidence: ``bincount``
         accumulates its weights sequentially in input order, and the pins
         are stored in :meth:`load_cap_of`'s order, so every entry equals
-        ``load_cap_of(i)`` bit for bit.  Pin caps come from
-        :meth:`Cell.input_cap`, memoized per (cell, size), so an
+        ``load_cap_of(i)`` bit for bit.  Pin caps are gathered from the
+        library's input-cap table (:meth:`LibraryTables.input_caps`), so
+        a size off the grid takes :meth:`Cell.input_cap` and an
         out-of-range size raises the library's error as before.
         """
-        cache = self._input_cap_cache
-        unit_caps = []
-        for i in self._consumers:
-            cell, size = self.cells[i], self.gates[i].size
-            cap = cache.get((cell, size))
-            if cap is None:
-                cap = cache[(cell, size)] = cell.input_cap(size)
-            unit_caps.append(cap)
-        pin_caps = np.array(unit_caps)[self._pin_slot]
+        state, pins = self.state, self._pin_gate
+        pin_caps = self._tables.input_caps(
+            self._pin_cells, state.size_codes[pins], state.sizes[pins]
+        )
         # (An empty incidence makes bincount return integer zeros; adding
         # the float wire loads yields float64 either way.)
         loads = (
@@ -273,27 +272,37 @@ class TimingView:
             total += self._po_load
         return total
 
+    def coefficients(
+        self, index: np.ndarray | slice = slice(None)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(intrinsic, slope)`` arrays of gates ``index`` at their current state.
+
+        Nominal delay is ``intrinsic + slope * load``; both depend only on
+        (cell, size, vth, length bias) and are gathered from the
+        library's tables (:meth:`LibraryTables.delay_coefficients`).  A
+        gate-length bias multiplies both terms by the drive model's
+        resistance factor at ``delta_l = bias`` -- biasing slows the gate
+        exactly as a longer channel would.
+        """
+        state = self.state
+        return self._tables.delay_coefficients(
+            state.cells[index], state.vths[index], state.size_codes[index],
+            state.sizes[index], state.length_biases[index],
+        )
+
     def delay_coefficients(self, index: int) -> Tuple[float, float]:
         """``(intrinsic, slope)`` of gate ``index`` at its current state.
 
-        Nominal delay is ``intrinsic + slope * load``; both depend only on
-        (cell, size, vth, length bias), so they cache across the discrete
-        grids.  A gate-length bias multiplies both terms by the drive
-        model's resistance factor at ``delta_l = bias`` — biasing slows
-        the gate exactly as a longer channel would.
+        An unbiased gate on the size grid reads its table entries
+        directly; any other takes :meth:`coefficients` for the one gate.
         """
-        gate = self.gates[index]
-        key = (gate.cell_name, gate.size, gate.vth, gate.length_bias)
-        coeffs = self._coeff_cache.get(key)
-        if coeffs is None:
-            coeffs = self.cells[index].nominal_delay_coefficients(gate.size, gate.vth)
-            if gate.length_bias:
-                model = self.library.drive_model(gate.vth)
-                x = model.d_lnr_d_deltal * gate.length_bias
-                factor = 1.0 + x + 0.5 * x * x
-                coeffs = (coeffs[0] * factor, coeffs[1] * factor)
-            self._coeff_cache[key] = coeffs
-        return coeffs
+        state, tables = self.state, self._tables
+        code = state.size_codes.item(index)
+        if code < 0 or state.length_biases.item(index) != 0.0:  # lint: ignore[RPR402] an exact zero bias needs no factor, not a tolerance test
+            intrinsic, slope = self.coefficients(slice(index, index + 1))
+            return intrinsic.item(), slope.item()
+        key = (state.cells.item(index), state.vths.item(index), code)
+        return tables.intrinsic.item(key), tables.slope.item(key)
 
     def nominal_delay_of(self, index: int) -> float:
         """Nominal propagation delay of one gate at its current state [s]."""
@@ -307,8 +316,8 @@ class TimingView:
         the same operations as :meth:`nominal_delay_of`, entry by entry.
         """
         loads = self.load_caps()
-        coeffs = np.array([self.delay_coefficients(i) for i in range(self.n_gates)])
-        return coeffs[:, 0] + coeffs[:, 1] * loads
+        intrinsic, slope = self.coefficients()
+        return intrinsic + slope * loads
 
     def primary_output_indices(self) -> np.ndarray:
         """Dense indices of gates driving primary outputs."""

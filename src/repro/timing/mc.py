@@ -197,15 +197,11 @@ class TimingKernel:
     @classmethod
     def from_view(cls, view: TimingView) -> "TimingKernel":
         """Precompute the propagation inputs at the current state."""
-        vths = view.vths()
+        tables = view.library.tables
         return cls(
             nominal=view.nominal_delays(),
-            sens_l=np.array(
-                [view.library.drive_model(v).d_lnr_d_deltal for v in vths]
-            ),
-            sens_v=np.array(
-                [view.library.drive_model(v).d_lnr_d_deltavth for v in vths]
-            ),
+            sens_l=tables.d_lnr_d_deltal[view.state.vths],
+            sens_v=tables.d_lnr_d_deltavth[view.state.vths],
             schedule=view.schedule,
             po=view.primary_output_indices(),
             relative_area=np.asarray(view.rdf_relative_area(), dtype=float),

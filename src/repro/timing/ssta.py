@@ -95,7 +95,8 @@ def gate_delay_canonicals(
     ``d = d_nom * (1 + s_R·ΔlnR)`` first-order: the global sensitivity
     vector is ``d_nom * (dlnR/dL * L_loadings + dlnR/dVth * V_loadings)``
     and the independent sigma combines the local-Leff and (size-de-rated)
-    RDF components in quadrature.
+    RDF components in quadrature.  The per-gate sensitivities are
+    gathered by Vth code from the library's tables.
     """
     if varmodel.n_gates != view.n_gates:
         raise TimingError(
@@ -104,9 +105,9 @@ def gate_delay_canonicals(
         )
     delays = view.nominal_delays()
     vth_indep = varmodel.vth_indep_for(view.rdf_relative_area())
-    models = [view.library.drive_model(v) for v in view.vths()]
-    d_l = np.array([model.d_lnr_d_deltal for model in models])
-    d_v = np.array([model.d_lnr_d_deltavth for model in models])
+    tables = view.library.tables
+    d_l = tables.d_lnr_d_deltal[view.state.vths]
+    d_v = tables.d_lnr_d_deltavth[view.state.vths]
     sens = delays[:, None] * (
         d_l[:, None] * varmodel.l_loadings + d_v[:, None] * varmodel.vth_loadings
     )
@@ -156,6 +157,8 @@ def run_ssta(
             arrivals, tightness = _propagate(view.schedule, delays)
             po = view.primary_output_indices()
             sink, po_shares = _fold_outputs(arrivals, po)
+        tele.counter("ssta_merge_calls_total").inc(view.schedule.n_merges)
+        tele.counter("ssta_fold_merges_total").inc(po.size - 1)
         means = delays.mean.copy()
         means.flags.writeable = False
         result = SSTAResult(

@@ -23,6 +23,8 @@ import numpy as np
 from ..circuit.netlist import Circuit
 from ..errors import TimingError
 from ..tech.corners import ProcessCorner
+from ..tech.library import VTH_CLASSES
+from ..telemetry import get_telemetry
 from .graph import LevelSchedule, TimingConfig, TimingView
 
 
@@ -58,23 +60,31 @@ class STAResult:
         return self.circuit_delay <= self.target_delay * (1.0 + 1e-12)
 
 
-def corner_delay_factor(view: TimingView, corner: ProcessCorner) -> dict:
-    """Per-Vth-class multiplicative delay factor at a process corner.
+def corner_delay_factors(library, corner: ProcessCorner) -> np.ndarray:
+    """Multiplicative delay factor at a process corner, per Vth code.
 
     The drive model's resistance shift is uniform within a Vth class
-    (sensitivities are size-independent), so a corner scales every gate of
-    a class by one factor — computed once per STA run.
+    (sensitivities are size-independent), so a corner scales every gate
+    of a class by one factor: ``1 + s + s**2/2`` of the class's shift.
     """
-    factors = {}
-    for vth_class, model in (
-        (v, view.library.drive_model(v)) for v in set(view.vths())
-    ):
+    factors = []
+    for model in (library.drive_model(v) for v in VTH_CLASSES):
         shift = (
             model.d_lnr_d_deltal * corner.delta_l
             + model.d_lnr_d_deltavth * corner.delta_vth0
         )
-        factors[vth_class] = 1.0 + shift + 0.5 * shift * shift
-    return factors
+        factors.append(1.0 + shift + 0.5 * shift * shift)
+    return np.array(factors)
+
+
+def corner_delay_factor(view: TimingView, corner: ProcessCorner) -> dict:
+    """Per-Vth-class delay factor at a process corner, for the classes the
+    view's gates use now (see :func:`corner_delay_factors`)."""
+    factors = corner_delay_factors(view.library, corner).tolist()
+    return {
+        VTH_CLASSES[code]: factors[code]
+        for code in np.unique(view.state.vths).tolist()
+    }
 
 
 def run_sta(
@@ -101,11 +111,10 @@ def run_sta(
         if isinstance(circuit_or_view, TimingView)
         else TimingView(circuit_or_view, config)
     )
+    get_telemetry().counter("sta_runs_total").inc()
     delays = view.nominal_delays()
     if corner is not None:
-        factors = corner_delay_factor(view, corner)
-        vths = view.vths()
-        delays = delays * np.array([factors[v] for v in vths])
+        delays = delays * corner_delay_factors(view.library, corner)[view.state.vths]
 
     arrivals = _arrival_times(view.schedule, delays)
     po = view.primary_output_indices()

@@ -34,11 +34,9 @@ class BudgetStrategy(ConstraintStrategy):
 
         return float(gate_leakage_currents(self.view.circuit).sum())
 
-    def move_allowed(self, state, move, delay_cost):
-        return delay_cost <= state.slacks[move.index]
-
-    def move_cost(self, state, move, delay_cost):
-        return delay_cost
+    def move_costs(self, state, index, delay_cost):
+        allowed = delay_cost <= state.slacks[index]
+        return allowed, delay_cost[allowed]
 
 
 @pytest.fixture

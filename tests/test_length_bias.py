@@ -7,7 +7,7 @@ from repro.core import OptimizerConfig, optimize_statistical
 from repro.core.moves import Move, apply_move, candidate_moves, leakage_gain, own_delay_cost, revert_move
 from repro.errors import OptimizationError
 from repro.power import (
-    GateLeakageMemo,
+    GateLeakage,
     analyze_leakage,
     gate_input_probabilities,
     signal_probabilities,
@@ -78,7 +78,7 @@ class TestMoves:
         probs = gate_input_probabilities(c17, signal_probabilities(c17))
         move = Move(index=0, kind="lbias", new_lbias=4e-9)
         assert own_delay_cost(view, move, view.load_cap_of(0)) > 0
-        assert leakage_gain(view, move, GateLeakageMemo(c17, probs)) > 0
+        assert leakage_gain(view, move, GateLeakage(c17, probs)) > 0
 
 
 class TestOptimizer:

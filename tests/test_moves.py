@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.core.moves import Move
 from repro.power import (
-    GateLeakageMemo,
+    GateLeakage,
     gate_input_probabilities,
     signal_probabilities,
 )
@@ -112,7 +112,7 @@ class TestLocalEstimates:
 class TestLeakageGain:
     def test_vth_swap_gain_positive_and_large(self, view, gate_probs):
         move = Move(index=0, kind="vth", new_vth=VthClass.HIGH)
-        gain = leakage_gain(view, move, GateLeakageMemo(view.circuit, gate_probs))
+        gain = leakage_gain(view, move, GateLeakage(view.circuit, gate_probs))
         before = view.cells[0].mean_leakage(
             1.0, VthClass.LOW, gate_probs[view.gates[0].name]
         )
@@ -121,7 +121,7 @@ class TestLeakageGain:
     def test_downsize_gain_proportional(self, view, c17, gate_probs):
         c17.set_uniform(size=4.0)
         move = Move(index=0, kind="size", new_size=2.0)
-        gain = leakage_gain(view, move, GateLeakageMemo(view.circuit, gate_probs))
+        gain = leakage_gain(view, move, GateLeakage(view.circuit, gate_probs))
         before = view.cells[0].mean_leakage(
             4.0, VthClass.LOW, gate_probs[view.gates[0].name]
         )

@@ -146,3 +146,31 @@ class TestConfigurationVariants:
         text = comparison["stat"].summary()
         assert "statistical" in text
         assert "uW" in text
+
+
+class TestYieldQuantile:
+    def test_z_score_is_computed_once_per_strategy(self, c432, spec, monkeypatch):
+        from scipy import stats
+
+        from repro.core.statistical import StatisticalStrategy
+        from repro.power import signal_probabilities
+        from repro.timing import TimingView
+
+        config = OptimizerConfig()
+        view = TimingView(c432)
+        strategy = StatisticalStrategy(
+            view, build_variation_model(c432, spec),
+            1.2 * run_sta(view).circuit_delay, config, signal_probabilities(c432),
+        )
+        assert strategy._z == float(stats.norm.ppf(config.yield_target))
+
+        def no_ppf(*args, **kwargs):
+            raise AssertionError("ppf evaluated per pass")
+
+        monkeypatch.setattr(stats.norm, "ppf", no_ppf)
+        for _ in range(2):
+            state = strategy.analyze()
+            assert state.sta.target_delay == max(
+                strategy.target_delay - strategy._z * state.ssta.circuit_delay.sigma,
+                0.5 * state.ssta.circuit_delay.mean,
+            )

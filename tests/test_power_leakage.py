@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.power import (
-    GateLeakageMemo,
     analyze_leakage,
     gate_input_probabilities,
     gate_leakage_currents,
@@ -12,6 +11,8 @@ from repro.power import (
     signal_probabilities,
 )
 from repro.tech import VthClass, fast_corner, slow_corner
+
+from .moves_reference import GateLeakageMemo
 
 
 class TestGateCurrents:
@@ -44,6 +45,8 @@ class TestGateCurrents:
 
 
 class TestGateLeakageMemo:
+    """The dict memo the candidate-scoring oracle reads its gains from."""
+
     def test_matches_fresh_currents_bitwise_across_states(self, c432):
         probs = signal_probabilities(c432)
         memo = GateLeakageMemo(c432, gate_input_probabilities(c432, probs))

@@ -522,3 +522,40 @@ class TestLeakageCounter:
         assert len(evals) == len(objectives) + 2
         assert all(s.attrs["gates"] == c432.n_gates for s in evals)
         assert all(1 <= s.attrs["groups"] <= 16 for s in evals)
+
+
+class TestWorkCounters:
+    """Deterministic work counts: fixed per propagation, STA run and pass."""
+
+    def test_merge_sta_and_move_counts_on_an_optimize_trace(self, c432, spec, monkeypatch):
+        import repro.timing.sta as sta
+        from repro.circuit import build_variation_model
+        from repro.core import optimize_statistical
+        from repro.timing import TimingView
+
+        view = TimingView(c432)
+        widths = [fanins.shape[1] for _, fanins in view.schedule.levels]
+        rank_merges = sum(w - 1 for w in widths if w)
+        fold_merges = view.primary_output_indices().size - 1
+        assert rank_merges > 0 and fold_merges > 0
+        arrival_passes = []
+        original = sta._arrival_times
+        monkeypatch.setattr(
+            sta, "_arrival_times",
+            lambda *args: arrival_passes.append(1) or original(*args),
+        )
+
+        varmodel = build_variation_model(c432, spec)
+        with telemetry_session() as tele:
+            optimize_statistical(c432, spec, varmodel)
+        propagations = (
+            tele.counter("ssta_runs_total").value
+            - tele.counter("ssta_reused_total").value
+        )
+        assert propagations == len(tele.finished_spans("ssta.propagate")) > 0
+        assert tele.counter("ssta_merge_calls_total").value == propagations * rank_merges
+        assert tele.counter("ssta_fold_merges_total").value == propagations * fold_merges
+        assert tele.counter("sta_runs_total").value == len(arrival_passes) > 0
+        evaluated = tele.counter("opt_moves_evaluated_total", flow="statistical").value
+        scored = tele.counter("opt_candidates_total", flow="statistical").value
+        assert evaluated > scored > 0
