@@ -210,9 +210,11 @@ class GreedyEngine:
                 if not scored:
                     break
                 applied: List[Tuple[Move, Tuple[float, object]]] = []
-                for move in scored.head(chunk_size):
-                    applied.append((move, apply_move(self.view, move)))
-                    self.strategy.on_move_applied(move)
+                with tele.span("opt.apply", flow=flow) as apply_span:
+                    for move in scored.head(chunk_size):
+                        applied.append((move, apply_move(self.view, move)))
+                        self.strategy.on_move_applied(move)
+                    apply_span.set(chunk=len(applied))
                 with tele.span("opt.validate", flow=flow, chunk=len(applied)):
                     reverted = self._validate_and_rollback(applied, tabu)
                 kept = len(applied)  # rollback already trimmed the list

@@ -13,15 +13,16 @@ capacitance of every consumer pin, one wire-capacitance lump per fanout
 pin, and (for primary outputs) a configurable external load.
 
 The view also carries the structure's :class:`LevelSchedule`, built once
-and shared by every batched propagation kernel (canonical SSTA,
-deterministic STA, Monte-Carlo STA).
+and shared by the batched propagation kernels (deterministic STA,
+Monte-Carlo STA, the SSTA criticality scatter), and, on first use, the
+:class:`WaveSchedule` canonical SSTA's forward pass runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from ..circuit.netlist import Circuit
 from ..errors import TimingError
 from ..tech.library import VTH_CLASSES, Cell
 from ..tech.technology import VthClass
+from .canonical import MergeBatch
 
 if TYPE_CHECKING:
     from .ssta import SSTAResult
@@ -60,10 +62,8 @@ class LevelSchedule:
     fanin matrix padded with the sentinel column ``n_gates`` -- a virtual
     arrival pinned at the identity of the reduction (``-inf`` for
     ``max``), so ragged fanin counts batch into one exact reduction.
-    Rank 0 is the fanin-free gates and carries an empty matrix.  Within a
-    rank, gates are ordered by descending fanin count, so the gates that
-    still fold at fanin column ``j`` are the leading ``active[rank][j]``
-    rows: order-sensitive folds (Clark max) slice instead of masking.
+    Rank 0 is the fanin-free gates and carries an empty matrix; within a
+    rank, gates are in index order.
 
     ``backward`` replays the scatter order of a sequential
     reverse-topological sweep -- gates by descending index, each gate's
@@ -74,15 +74,18 @@ class LevelSchedule:
     values with an unbuffered scatter (``np.add.at``) in this order sums
     every target's contributions in exactly the sequential sweep's order.
 
+    ``fanins`` is every gate's fanin row in gate order, padded with
+    ``n_gates`` to the largest fanin count (at least 1).
+
     Built once per view and shipped to every Monte-Carlo shard worker
     (plain arrays, pickles cheaply).
     """
 
     n_gates: int
     levels: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-    active: Tuple[Tuple[int, ...], ...]
     offsets: Tuple[int, ...]
     backward: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    fanins: np.ndarray
 
     @classmethod
     def build(cls, fanin_gates: Sequence[np.ndarray]) -> "LevelSchedule":
@@ -95,7 +98,10 @@ class LevelSchedule:
         """
         n = len(fanin_gates)
         if n == 0:
-            return cls(n_gates=0, levels=(), active=(), offsets=(), backward=())
+            return cls(
+                n_gates=0, levels=(), offsets=(), backward=(),
+                fanins=np.zeros((0, 1), dtype=np.intp),
+            )
         fanin_lists = [fanins.tolist() for fanins in fanin_gates]
         rank_of = [0] * n
         for i, fanins in enumerate(fanin_lists):
@@ -105,14 +111,12 @@ class LevelSchedule:
         count = np.array([len(fanins) for fanins in fanin_lists], dtype=np.intp)
         n_levels = int(rank.max()) + 1
 
-        # Rank-major, then descending fanin count, ties by gate index
-        # (lexsort is stable).
-        order = np.lexsort((-count, rank))
+        order = np.argsort(rank, kind="stable")
         bounds = np.searchsorted(rank[order], np.arange(n_levels + 1))
         sizes = np.diff(bounds)
         row = np.empty(n, dtype=np.intp)
         row[order] = np.arange(n) - np.repeat(bounds[:-1], sizes)
-        widths = count[order[bounds[:-1]]]
+        widths = np.maximum.reduceat(count[order], bounds[:-1])
         offsets = np.concatenate(([0], np.cumsum(sizes * widths)[:-1]))
 
         # Every fanin slot, in gate order then fanin order: its consumer,
@@ -124,13 +128,14 @@ class LevelSchedule:
         slot = offsets[consumer_rank] + row[consumer] * widths[consumer_rank] + position
         flat = np.full(int(np.sum(sizes * widths)), n, dtype=np.intp)
         flat[slot] = target
+        fanins = np.full((n, max(int(widths.max()), 1)), n, dtype=np.intp)
+        fanins[consumer, position] = target
 
-        levels, active = [], []
+        levels = []
         for r in range(n_levels):
             m, width = int(sizes[r]), int(widths[r])
             matrix = flat[offsets[r] : offsets[r] + m * width].reshape(m, width)
             levels.append((order[bounds[r] : bounds[r + 1]], matrix))
-            active.append(tuple(int(c) for c in (matrix < n).sum(axis=0)))
 
         # The sequential sweep visits gates by descending index, each
         # gate's fanins in order; group its slots by target rank, stably.
@@ -146,9 +151,9 @@ class LevelSchedule:
         return cls(
             n_gates=n,
             levels=tuple(levels),
-            active=tuple(active),
             offsets=tuple(int(o) for o in offsets),
             backward=backward,
+            fanins=fanins,
         )
 
     @property
@@ -156,11 +161,158 @@ class LevelSchedule:
         """Padded fanin slots over all ranks (the flat edge-array length)."""
         return sum(matrix.size for _, matrix in self.levels)
 
-    @cached_property
+
+class AddBatch(NamedTuple):
+    """One batch of delay adds: gate ``gates[i]``'s arrival is row
+    ``src[i]`` (its folded fanins) plus the gate's own delay.
+
+    Held as Python lists for the per-row scalars and as index arrays for
+    the ``(rows, k)`` sensitivities, like
+    :class:`~repro.timing.canonical.MergeBatch`.
+    """
+
+    src: List[int]
+    gates: List[int]
+    src_rows: np.ndarray
+    gate_rows: np.ndarray
+
+
+#: One wave: a batch of Clark merges, then a batch of adds (either may be None).
+Wave = Tuple[Optional[MergeBatch], Optional[AddBatch]]
+
+
+@dataclass(frozen=True)
+class WaveSchedule:
+    """As-soon-as-ready schedule of canonical SSTA's merges and adds.
+
+    Arrivals live in ``n_gates + 1`` rows: a gate's row holds its
+    accumulator until its delay is added, then its arrival; row
+    ``n_gates`` is the *sink*, a virtual gate whose fanins are the
+    primary outputs in ``po`` order and which adds no delay.  A gate
+    without gate fanins starts at its delay and is ready at wave 0.
+    Merge ``(g, j)`` folds gate ``g``'s fanin ``j >= 1`` into its
+    accumulator -- fanin 0's arrival for ``j = 1`` -- and runs in wave
+    ``max(wave(g, j-1), ready(fanin j)) + 1``, where ``wave(g, 0)`` is
+    ``ready(fanin 0)``.  Gate ``g``'s add runs in the wave of its last
+    merge, after the wave's merges; a gate with one gate fanin adds one
+    wave after that fanin is ready.  ``ready(g)`` is the wave of ``g``'s
+    add.
+
+    So every merge runs in the first wave where both operands exist, each
+    gate's merges run in fanin order in strictly increasing waves, and
+    every arrival, the sink and every tightness see exactly the
+    operations of a per-gate fold, in its order.  Merges within a wave
+    are independent and write distinct rows.  A one-output circuit has
+    no sink merges: its circuit delay is that output's row (``sink``).
+
+    Tightness has one flat slot per fanin: ``g * width + j`` for merge
+    ``(g, j)`` and ``n_gates * width + j`` for the sink's fanin ``j``;
+    ``slots`` lists the merges' slots in the order the waves run them.
+    """
+
+    n_gates: int
+    #: Largest gate fanin count (at least 1): the slot matrix's width.
+    width: int
+    n_outputs: int
+    #: The row holding the circuit delay.
+    sink: int
+    waves: Tuple[Wave, ...]
+    slots: np.ndarray
+
+    @classmethod
+    def build(cls, schedule: LevelSchedule, po: np.ndarray) -> "WaveSchedule":
+        """Wave every merge and add of ``schedule``'s gates and the sink.
+
+        Unrolled, the merge recurrence is a running maximum along each
+        gate's fanins, ``wave(g, j) = j + max_{i <= j} (ready(fanin i) +
+        lag_i)`` with ``lag_0 = 0`` and ``lag_i = 1 - i``, so a gate is
+        ready at ``max_i (ready(fanin i) + lag_i) + max(fanins - 1, 1)``:
+        one gather and one row maximum per rank.  The padded fanin slots
+        read a sentinel ready wave below any lag.  Every merge's wave then
+        follows at once from the ready waves.
+        """
+        n, n_out, fanin = schedule.n_gates, po.size, schedule.fanins
+        width = fanin.shape[1]
+        step = np.arange(max(width, n_out))
+        lag = np.minimum(1 - step, 0)
+        count = (fanin < n).sum(axis=1)
+        after_max = np.maximum(count - 1, 1)
+        ready = np.zeros(n + 1, dtype=np.intp)
+        ready[n] = -2 * step.size
+        for gates, fanins in schedule.levels:
+            if fanins.size:
+                terms = ready[fanins] + lag[: fanins.shape[1]]
+                ready[gates] = np.maximum.reduce(terms, axis=1) + after_max[gates]
+        columns = step[:width]
+        slot_wave = np.maximum.accumulate(ready[fanin] + lag[:width], axis=1) + columns
+        sink_wave = np.maximum.accumulate(ready[po] + lag[:n_out]) + step[:n_out]
+
+        # Every merge: the gates' in gate, then fanin order, then the sink's.
+        gate, column = np.nonzero((columns >= 1) & (columns < count[:, None]))
+        sink_left = np.full(n_out - 1, n, dtype=np.intp)
+        sink_left[:1] = po[0]
+        left = np.concatenate((np.where(column == 1, fanin[gate, 0], gate), sink_left))
+        right = np.concatenate((fanin[gate, column], po[1:]))
+        out = np.concatenate((gate, np.full(n_out - 1, n, dtype=np.intp)))
+        slot = np.concatenate((gate * width + column, n * width + step[1:n_out]))
+        merge_wave = np.concatenate((slot_wave[gate, column], sink_wave[1:]))
+        adders = np.flatnonzero(count)
+        src = np.where(count[adders] == 1, fanin[adders, 0], adders)
+        add_wave = ready[adders]
+
+        n_waves = int(max(merge_wave.max(initial=0), add_wave.max(initial=0)))
+        merge_bounds, (sorted_wave, left, right, out, slot) = _by_wave(
+            merge_wave, n_waves, merge_wave, left, right, out, slot
+        )
+        add_bounds, (src, adders) = _by_wave(add_wave, n_waves, src, adders)
+        # Each wave's gather rows: its left operands, then its right ones.
+        side = np.concatenate((2 * sorted_wave, 2 * sorted_wave + 1))
+        operands = np.concatenate((left, right))[np.argsort(side, kind="stable")]
+        lefts, rights, outs, srcs, gates = (
+            a.tolist() for a in (left, right, out, src, adders)
+        )
+        waves = []
+        for w in range(n_waves):
+            a, b = merge_bounds[w], merge_bounds[w + 1]
+            c, d = add_bounds[w], add_bounds[w + 1]
+            merge = add = None
+            if b > a:
+                merge = MergeBatch(
+                    lefts[a:b], rights[a:b], outs[a:b],
+                    operands[2 * a : 2 * b], out[a:b],
+                )
+            if d > c:
+                add = AddBatch(srcs[c:d], gates[c:d], src[c:d], adders[c:d])
+            waves.append((merge, add))
+        return cls(
+            n_gates=n,
+            width=width,
+            n_outputs=n_out,
+            sink=n if n_out > 1 else int(po[0]),
+            waves=tuple(waves),
+            slots=slot,
+        )
+
+    @property
     def n_merges(self) -> int:
-        """Batched merge calls per forward pass: one per fanin column past
-        the first, rank by rank (``width - 1`` for every rank with fanins)."""
-        return sum(max(matrix.shape[1] - 1, 0) for _, matrix in self.levels)
+        """Clark merges per forward pass: one per gate fanin past the first,
+        plus ``n_outputs - 1`` for the sink."""
+        return self.slots.size
+
+    @cached_property
+    def n_merge_calls(self) -> int:
+        """Batched merge calls per forward pass: the waves with a merge."""
+        return sum(merge is not None for merge, _ in self.waves)
+
+
+def _by_wave(
+    wave: np.ndarray, n_waves: int, *columns: np.ndarray
+) -> Tuple[List[int], List[np.ndarray]]:
+    """Sort ``columns`` by ``wave`` (1 ... ``n_waves``), stably; wave
+    ``w``'s entries are then ``bounds[w - 1] : bounds[w]``."""
+    order = np.argsort(wave, kind="stable")
+    bounds = np.searchsorted(wave[order], np.arange(1, n_waves + 2)).tolist()
+    return bounds, [column[order] for column in columns]
 
 
 class TimingView:
@@ -211,7 +363,7 @@ class TimingView:
         self._po_load = self.config.primary_output_load * self.library.c_in_unit
         self._wire_cap = self.library.tech.wire_cap_per_fanout
 
-        #: The structure's rank schedule, shared by every batched kernel.
+        #: The structure's rank schedule, shared by the batched kernels.
         self.schedule = LevelSchedule.build(self.fanin_gates)
         # Consumer-pin incidence in load_cap_of's summation order (loaded
         # nets in dense order, each net's pins in fanout order): pin p adds
@@ -226,6 +378,12 @@ class TimingView:
         #: rows it was propagated from (``None`` before the first run);
         #: :func:`~repro.timing.ssta.run_ssta` reuses it when the rows repeat.
         self.last_ssta: Optional[Tuple[np.ndarray, "SSTAResult"]] = None
+
+    @cached_property
+    def waves(self) -> WaveSchedule:
+        """Canonical SSTA's merge schedule, built on first use."""
+        po = np.flatnonzero(self.is_primary_output)
+        return WaveSchedule.build(self.schedule, po)
 
     # -- state-live queries ---------------------------------------------------
 

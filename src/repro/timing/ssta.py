@@ -27,8 +27,8 @@ from ..circuit.netlist import Circuit
 from ..errors import TimingError
 from ..telemetry import get_telemetry
 from ..variation.model import VariationModel
-from .canonical import Canonical, CanonicalArray, max_rows, rowdot
-from .graph import LevelSchedule, TimingConfig, TimingView
+from .canonical import Canonical, CanonicalArray, clark_merge, rowdot
+from .graph import LevelSchedule, TimingConfig, TimingView, WaveSchedule
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,13 @@ class SSTAResult:
     arrivals: CanonicalArray
     gate_delay_means: np.ndarray
     circuit_delay: Canonical
-    #: The structure the run propagated over (its backward scatter plan).
+    #: The structure's backward scatter plan.
     _schedule: LevelSchedule = field(repr=False, compare=False)
-    #: Per rank, per fanin column ``j >= 1``: the tightness of each merge
-    #: that folded column ``j`` into the rank's leading rows.
-    _tightness: List[List[np.ndarray]] = field(repr=False, compare=False)
+    #: The merge schedule the run propagated over.
+    _waves: WaveSchedule = field(repr=False, compare=False)
+    #: Per wave with merges, the tightness of each (``_waves.slots`` order).
+    _tightness: List[np.ndarray] = field(repr=False, compare=False)
     _po: np.ndarray = field(repr=False, compare=False)
-    _po_shares: np.ndarray = field(repr=False, compare=False)
 
     def timing_yield(self, target_delay: float) -> float:
         """P(circuit delay <= target)."""
@@ -81,7 +81,7 @@ class SSTAResult:
         """Per-gate probability of lying on the critical path."""
         with get_telemetry().span("ssta.criticality", gates=self._schedule.n_gates):
             criticality = _criticality(
-                self._schedule, self._tightness, self._po, self._po_shares
+                self._schedule, self._waves, self._tightness, self._po
             )
         criticality.flags.writeable = False
         return criticality
@@ -122,19 +122,20 @@ def run_ssta(
 ) -> SSTAResult:
     """Run canonical SSTA at the circuit's current implementation state.
 
-    Arrivals propagate rank by rank over the view's
-    :class:`~repro.timing.graph.LevelSchedule`: every gate of a rank
-    folds its fanins through :func:`~repro.timing.canonical.max_rows`
-    one fanin column at a time, in fanin order, then adds its own delay.
-    Each gate sees exactly the operations a per-gate fold would apply, in
-    the same order, so every arrival is bit-identical to it.
+    Arrivals propagate wave by wave over the view's
+    :class:`~repro.timing.graph.WaveSchedule`: each wave makes one
+    batched :func:`~repro.timing.canonical.clark_merge` call over every
+    merge whose operands exist, then adds the delay of every gate whose
+    fanins are folded.  The primary-output fold is the schedule's virtual
+    sink, so its merges ride in the same waves.  Each gate and the sink
+    see exactly the operations a per-gate fold would apply, in the same
+    order, so every arrival and the circuit delay are bit-identical to it.
 
-    The forward pass and the output fold read only the gate-delay rows,
-    the view's fixed schedule and its primary outputs.  So when the rows
-    just built are bit for bit those of the view's previous run, that
-    run's result *is* what propagating would return, and it is returned
-    as is -- the same object, whose lazy criticality is then computed
-    once per state.  The view keeps one slot (:attr:`TimingView.last_ssta`);
+    The forward pass reads only the gate-delay rows and the view's fixed
+    schedules.  So when the rows just built are bit for bit those of the
+    view's previous run, that run's result *is* what propagating would
+    return, and it is returned as is -- the same object, whose lazy
+    criticality is then computed once per state.  The view keeps one slot (:attr:`TimingView.last_ssta`);
     a circuit gets a fresh view and always propagates.
     """
     view = (
@@ -154,11 +155,12 @@ def run_ssta(
             return last[1]
         span.set(reused=False)
         with tele.span("ssta.propagate"):
-            arrivals, tightness = _propagate(view.schedule, delays)
+            waves = view.waves
+            arrivals, sink, tightness = _propagate(waves, delays)
             po = view.primary_output_indices()
-            sink, po_shares = _fold_outputs(arrivals, po)
-        tele.counter("ssta_merge_calls_total").inc(view.schedule.n_merges)
-        tele.counter("ssta_fold_merges_total").inc(po.size - 1)
+        tele.counter("ssta_merge_calls_total").inc(waves.n_merge_calls)
+        tele.counter("ssta_merge_rows_total").inc(waves.n_merges)
+        tele.counter("ssta_fold_merges_total").inc(waves.n_outputs - 1)
         means = delays.mean.copy()
         means.flags.writeable = False
         result = SSTAResult(
@@ -166,9 +168,9 @@ def run_ssta(
             gate_delay_means=means,
             circuit_delay=sink,
             _schedule=view.schedule,
+            _waves=waves,
             _tightness=tightness,
             _po=po,
-            _po_shares=po_shares,
         )
         view.last_ssta = (delays.rows, result)
         return result
@@ -185,71 +187,76 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _propagate(
-    schedule: LevelSchedule, delays: CanonicalArray
-) -> tuple[CanonicalArray, List[List[np.ndarray]]]:
-    """Forward pass: arrivals plus every merge's tightness, rank by rank.
+    waves: WaveSchedule, delays: CanonicalArray
+) -> tuple[CanonicalArray, Canonical, List[np.ndarray]]:
+    """Forward pass: arrivals, the circuit delay and every merge's
+    tightness, wave by wave.
 
+    Every row starts at its gate's delay, which is a fanin-free gate's
+    arrival; the other rows are overwritten before they are read.
     Primary-input fanins arrive at a deterministic 0 and are not part of
     the fold.
     """
     d = delays.rows
-    state = np.empty(d.shape)
-    tightness_by_rank: List[List[np.ndarray]] = []
-    for (gates, fanins), active in zip(schedule.levels, schedule.active):
-        tightness: List[np.ndarray] = []
-        tightness_by_rank.append(tightness)
-        width = fanins.shape[1]
-        if width == 0:
-            state[gates] = d[gates]
-            continue
-        acc = state[fanins[:, 0]]
-        for j in range(1, width):
-            rows = active[j]
-            acc[:rows], t = max_rows(acc[:rows], state[fanins[:rows, j]])
-            tightness.append(t)
-        # Canonical.plus: means and sensitivities add, independent parts
-        # add in quadrature.
-        gate_delays = d[gates]
-        acc[:, 0] += gate_delays[:, 0]
-        acc[:, 3:] += gate_delays[:, 3:]
-        acc[:, 2] = [
-            math.hypot(a, b)
-            for a, b in zip(acc[:, 2].tolist(), gate_delays[:, 2].tolist())
-        ]
-        acc[:, 1] = rowdot(acc[:, 3:], acc[:, 3:]) + acc[:, 2] * acc[:, 2]
-        state[gates] = acc
-    return CanonicalArray(state), tightness_by_rank
+    n = waves.n_gates
+    rows = np.zeros((n + 1, d.shape[1]))
+    rows[:n] = d
+    sens = rows[:, 3:]
+    mean, variance, indep = (rows[:, c].tolist() for c in range(3))
+    delay_mean, delay_indep = d[:, 0].tolist(), d[:, 2].tolist()
+    delay_sens = d[:, 3:]
+    tightness: List[np.ndarray] = []
+    for merge, add in waves.waves:
+        if merge is not None:
+            tightness.append(clark_merge(mean, variance, indep, sens, merge))
+        if add is not None:
+            # Canonical.plus: means and sensitivities add, independent
+            # parts add in quadrature.
+            gates = add.gate_rows
+            acc = sens[add.src_rows]
+            acc += delay_sens[gates]
+            sens[gates] = acc
+            explained = rowdot(acc, acc).tolist()
+            for gate, src, e in zip(add.gates, add.src, explained):
+                sigma = math.hypot(indep[src], delay_indep[gate])
+                mean[gate] = mean[src] + delay_mean[gate]
+                variance[gate] = e + sigma * sigma
+                indep[gate] = sigma
+    rows[:, 0] = mean
+    rows[:, 1] = variance
+    rows[:, 2] = indep
+    sink = CanonicalArray(rows[[waves.sink]])[0]
+    return CanonicalArray(rows[:n]), sink, tightness
 
 
-def _fold_outputs(
-    arrivals: CanonicalArray, po: np.ndarray
-) -> tuple[Canonical, np.ndarray]:
-    """Clark-max the primary-output arrivals into the sink, in ``po`` order.
+def _shares(tightness: np.ndarray) -> np.ndarray:
+    """Per fold and fanin, the probability that the fanin won the fold.
 
-    Returns the circuit delay and, per output, the probability that it
-    sets the max.  The fold is a chain -- each merge needs the previous
-    one -- so it runs one row at a time.
+    ``tightness`` holds one fold per row, merge ``j``'s tightness in
+    column ``j`` (column 0 unused).  Fanin ``j``'s share is ``1 - T_j``
+    times the tightness of every later merge, multiplied in the fold's
+    order, one column step at a time.  A padded column reads tightness
+    1.0, which multiplies exactly.
     """
-    rows = arrivals.rows
-    po_shares = np.ones(po.size)
-    sink = rows[po[:1]]
-    for k in range(1, po.size):
-        sink, tightness = max_rows(sink, rows[po[k : k + 1]])
-        po_shares[:k] *= tightness[0]
-        po_shares[k] = 1.0 - tightness[0]
-    return CanonicalArray(sink)[0], po_shares
+    shares = np.ones(tightness.shape)
+    for j in range(1, tightness.shape[1]):
+        t = tightness[:, j]
+        shares[:, :j] *= t[:, None]
+        shares[:, j] = 1.0 - t
+    return shares
 
 
 def _criticality(
     schedule: LevelSchedule,
-    tightness: List[List[np.ndarray]],
+    waves: WaveSchedule,
+    tightness: List[np.ndarray],
     po: np.ndarray,
-    po_shares: np.ndarray,
 ) -> np.ndarray:
     """Backward pass: tightness shares accumulated from the sink.
 
-    A gate's share of fanin ``j`` is the probability that fanin ``j``
-    won its fold: ``1 - T_j`` times the tightness of every later merge.
+    The merges' tightness fills one flat slot array, padded with 1.0:
+    every gate's shares come from its ``(n, width)`` block at once, and
+    the sink's from its ``n_outputs`` slots with the output fold's loop.
     Rank by rank from the outputs, a rank's gates receive their
     consumers' contributions (all at higher ranks, already known) through
     ``np.add.at`` in the schedule's ``backward`` order -- each gate's
@@ -259,8 +266,13 @@ def _criticality(
     gate may list one fanin twice (``NAND(a, a)``), and ``+=`` would keep
     only one of the two terms.
     """
-    criticality = np.zeros(schedule.n_gates)
-    criticality[po] += po_shares
+    n, width = schedule.n_gates, waves.width
+    slots = np.ones(n * width + waves.n_outputs)
+    if tightness:
+        slots[waves.slots] = np.concatenate(tightness)
+    shares = _shares(slots[: n * width].reshape(n, width))
+    criticality = np.zeros(n)
+    criticality[po] += _shares(slots[n * width :].reshape(1, -1))[0]
     contributions = np.empty(schedule.n_slots)
     for rank in range(len(schedule.levels) - 1, -1, -1):
         gates, fanins = schedule.levels[rank]
@@ -268,13 +280,8 @@ def _criticality(
         if edges.size:
             np.add.at(criticality, targets, contributions[edges])
         if fanins.size:
-            shares = np.ones(fanins.shape)
-            for j, t in enumerate(tightness[rank], start=1):
-                rows = t.size
-                shares[:rows, :j] *= t[:, None]
-                shares[:rows, j] = 1.0 - t
             start = schedule.offsets[rank]
             contributions[start : start + fanins.size] = (
-                criticality[gates][:, None] * shares
+                criticality[gates][:, None] * shares[gates, : fanins.shape[1]]
             ).ravel()
     return criticality

@@ -1,10 +1,11 @@
 """Deterministic static timing analysis (substrate S7).
 
 Classic topological STA over the :class:`~repro.timing.graph.TimingView`:
-arrival times forward, required times backward, slacks, and the critical
-path.  Optionally evaluated at a :class:`~repro.tech.corners.ProcessCorner`
-— which is precisely how the deterministic baseline optimizer sees timing,
-and the pessimism the statistical flow removes.
+arrival times forward, required times backward, slacks, and (traced on
+first read) the critical path.  Optionally evaluated at a
+:class:`~repro.tech.corners.ProcessCorner` — which is precisely how the
+deterministic baseline optimizer sees timing, and the pessimism the
+statistical flow removes.
 
 Both passes run rank by rank over the view's
 :class:`~repro.timing.graph.LevelSchedule`; ``max`` and ``min`` are exact,
@@ -14,7 +15,7 @@ so the batched passes give the sequential per-gate sweeps' bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional
 
@@ -40,7 +41,14 @@ class STAResult:
     gate_delays: np.ndarray
     circuit_delay: float
     target_delay: float
-    critical_path: tuple[str, ...]
+    #: The view the run timed (its structure: names, fanins, outputs).
+    _view: TimingView = field(repr=False, compare=False)
+
+    @cached_property
+    def critical_path(self) -> tuple[str, ...]:
+        """Gate names from a primary input to the latest primary output,
+        each gate's latest-arriving fanin before it; traced on first read."""
+        return tuple(_trace_critical_path(self._view, self.arrivals))
 
     @cached_property
     def slacks(self) -> np.ndarray:
@@ -130,14 +138,13 @@ def run_sta(
     # irrelevant, and lint flags them separately).
     required[np.isinf(required)] = target_delay
 
-    critical = _trace_critical_path(view, arrivals)
     return STAResult(
         arrivals=arrivals,
         required=required,
         gate_delays=delays,
         circuit_delay=circuit_delay,
         target_delay=float(target_delay),
-        critical_path=tuple(critical),
+        _view=view,
     )
 
 

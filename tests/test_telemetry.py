@@ -534,10 +534,13 @@ class TestWorkCounters:
         from repro.timing import TimingView
 
         view = TimingView(c432)
-        widths = [fanins.shape[1] for _, fanins in view.schedule.levels]
-        rank_merges = sum(w - 1 for w in widths if w)
+        # Per propagation: batched merge calls (the schedule's waves with a
+        # merge, the output fold included), merged rows (every fanin past a
+        # gate's first, plus the output fold's) and output-fold rows.
+        merge_calls = view.waves.n_merge_calls
         fold_merges = view.primary_output_indices().size - 1
-        assert rank_merges > 0 and fold_merges > 0
+        merge_rows = sum(max(f.size - 1, 0) for f in view.fanin_gates) + fold_merges
+        assert (merge_calls, merge_rows, fold_merges) == (28, 174, 6)
         arrival_passes = []
         original = sta._arrival_times
         monkeypatch.setattr(
@@ -553,7 +556,8 @@ class TestWorkCounters:
             - tele.counter("ssta_reused_total").value
         )
         assert propagations == len(tele.finished_spans("ssta.propagate")) > 0
-        assert tele.counter("ssta_merge_calls_total").value == propagations * rank_merges
+        assert tele.counter("ssta_merge_calls_total").value == propagations * merge_calls
+        assert tele.counter("ssta_merge_rows_total").value == propagations * merge_rows
         assert tele.counter("ssta_fold_merges_total").value == propagations * fold_merges
         assert tele.counter("sta_runs_total").value == len(arrival_passes) > 0
         evaluated = tele.counter("opt_moves_evaluated_total", flow="statistical").value

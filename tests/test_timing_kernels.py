@@ -1,10 +1,11 @@
-"""Level-batched SSTA/STA kernels vs the scalar per-gate reference, bitwise.
+"""Batched SSTA/STA kernels vs the scalar per-gate reference, bitwise.
 
 The batched kernels keep every gate's operations and their order, so
 their outputs must equal the scalar loops in ``timing_reference`` bit for
 bit -- on the benchmark circuits at seeded random implementation states
 and on the degenerate structures where batching is easiest to get wrong
 (θ-floor merges, one gate, tied outputs, a repeated fanin, mixed fanins).
+SSTA's wave schedule is replayed against the per-gate fold it batches.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import numpy as np
 import pytest
 
 from repro.circuit import Circuit, build_variation_model, make_benchmark
+from repro.circuit.benchmarks import benchmark_names
 from repro.errors import LibraryError
 from repro.tech import VthClass, slow_corner
 from repro.telemetry import telemetry_session
 from repro.timing import Canonical, TimingView, max_moments, run_ssta, run_sta
-from repro.timing.canonical import CanonicalArray
-from repro.timing.graph import LevelSchedule
+from repro.timing.canonical import CanonicalArray, MergeBatch, clark_merge
+from repro.timing.graph import LevelSchedule, WaveSchedule
 from repro.timing.ssta import gate_delay_canonicals
 from repro.variation import VariationSpec
 
@@ -28,6 +30,9 @@ from . import timing_reference as ref
 
 CIRCUITS = ("c17", "c432", "c880", "c3540")
 N_STATES = 8
+#: Long output folds: c2670's sink folds 140 outputs, c7552's 108.
+LONG_FOLD_CIRCUITS = ("c2670", "c7552")
+LONG_FOLD_STATES = 2
 LENGTH_BIASES = (0.0, 2e-9, 4e-9)
 
 
@@ -91,6 +96,15 @@ class TestBenchmarkCircuits:
         view = TimingView(bench_circuit)
         for seed in range(N_STATES):
             randomize(bench_circuit, seed)
+            assert_ssta_matches_reference(view, varmodel)
+
+    @pytest.mark.parametrize("name", LONG_FOLD_CIRCUITS)
+    def test_ssta_bitwise_on_long_output_folds(self, name, lib, spec):
+        circuit = make_benchmark(name, lib)
+        varmodel = build_variation_model(circuit, spec)
+        view = TimingView(circuit)
+        for seed in range(LONG_FOLD_STATES):
+            randomize(circuit, seed)
             assert_ssta_matches_reference(view, varmodel)
 
     def test_sta_bitwise_at_random_states(self, bench_circuit, spec):
@@ -213,16 +227,45 @@ class TestClarkKernel:
                      (1.0, 0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 1.0, 1.0)):
             assert max_moments(*args) == ref.max_moments(*args)
 
-    def test_array_call_is_the_scalar_call_per_element(self):
+    def test_merge_step_is_the_scalar_merge_per_row(self):
         rng = np.random.default_rng(12)
-        ma, mb = rng.normal(size=(2, 500))
-        va, vb = rng.uniform(0.0, 2.0, size=(2, 500))
-        cov = rng.uniform(-1.0, 1.0, size=500) * np.sqrt(va * vb)
-        cov[::7] = 0.5 * (va[::7] + vb[::7])  # some rows on the θ floor
-        va[::7] = vb[::7] = cov[::7]
-        mean, var, t = max_moments(ma, va, mb, vb, cov)
-        expected = [ref.max_moments(*row) for row in zip(ma, va, mb, vb, cov)]
-        assert_bitwise(np.column_stack([mean, var, t]), expected)
+        m, k = 300, 18
+        canonicals = [
+            (float(rng.normal()), rng.normal(size=k), float(rng.uniform(0, 1)))
+            for _ in range(2 * m)
+        ]
+        for i in range(0, m, 7):  # identical operands: the θ floor
+            canonicals[m + i] = canonicals[i]
+        for i in range(3, m, 11):  # no independent part
+            canonicals[i] = (canonicals[i][0], canonicals[i][1], 0.0)
+        rows = canonicals + [(0.0, np.zeros(k), 0.0)] * m
+        mean = [c[0] for c in rows]
+        variance = [ref.variance(c) for c in rows]
+        indep = [c[2] for c in rows]
+        sens = np.array([c[1] for c in rows])
+        left, right, out = (list(range(a, a + m)) for a in (0, m, 2 * m))
+
+        def merge(left, right, out):
+            batch = MergeBatch(left, right, out, np.array(left + right), np.array(out))
+            return clark_merge(mean, variance, indep, sens, batch)
+
+        def check(expected, tightness):
+            for i, ((c, t_ref), t) in enumerate(zip(expected, tightness.tolist())):
+                row = out[i]
+                assert (mean[row], indep[row], t) == (c[0], c[2], t_ref)
+                assert_bitwise(sens[row], c[1])
+                assert variance[row] == ref.variance(c)
+
+        expected = [
+            ref.maximum_with_tightness(canonicals[i], canonicals[m + i]) for i in range(m)
+        ]
+        check(expected, merge(left, right, out))
+        # In place, as a gate folds its later fanins into its accumulator.
+        merged = [c for c, _ in expected]
+        expected = [
+            ref.maximum_with_tightness(merged[i], canonicals[(i + 1) % m]) for i in range(m)
+        ]
+        check(expected, merge(out, [(i + 1) % m for i in range(m)], out))
 
     def test_canonical_max_matches_reference(self):
         rng = np.random.default_rng(13)
@@ -266,12 +309,104 @@ class TestSchedule:
             np.concatenate(view.fanin_gates).tolist()
         )
 
-    def test_rows_sorted_so_active_fanins_are_a_prefix(self, c880):
-        schedule = LevelSchedule.build(TimingView(c880).fanin_gates)
-        for (gates, matrix), active in zip(schedule.levels, schedule.active):
-            real = matrix < schedule.n_gates
-            for j, rows in enumerate(active):
-                assert real[:rows, j].all() and not real[rows:, j].any()
+    def test_dense_fanin_rows_match_the_view(self, c880):
+        view = TimingView(c880)
+        fanins = view.schedule.fanins
+        n = view.n_gates
+        assert fanins.shape == (n, max(f.size for f in view.fanin_gates))
+        for row, expected in zip(fanins.tolist(), view.fanin_gates):
+            assert row == expected.tolist() + [n] * (fanins.shape[1] - expected.size)
+        for gates, matrix in view.schedule.levels:
+            assert_bitwise(matrix, fanins[gates, : matrix.shape[1]])
+
+
+def schedule_fields(waves: WaveSchedule) -> tuple:
+    """Every field of a wave schedule, as plain comparable values."""
+    batches = [
+        (
+            merge and (merge.left, merge.right, merge.out,
+                       merge.gather.tolist(), merge.scatter.tolist()),
+            add and (add.src, add.gates, add.src_rows.tolist(), add.gate_rows.tolist()),
+        )
+        for merge, add in waves.waves
+    ]
+    return (waves.n_gates, waves.width, waves.n_outputs, waves.sink,
+            waves.slots.tolist(), batches)
+
+
+def assert_wave_schedule(view: TimingView) -> None:
+    """Replay the view's wave schedule against the per-gate fold.
+
+    Every merge folds its row's next fanin -- a gate's fanins in order,
+    then the sink's primary outputs in ``po`` order -- in the first wave
+    after both operands are complete, and every add follows its gate's
+    last merge (or, for a one-fanin gate, that fanin's add) by exactly as
+    much as the batching requires.
+    """
+    waves = view.waves
+    n, width = view.n_gates, waves.width
+    po = view.primary_output_indices().tolist()
+    fanins = [f.tolist() for f in view.fanin_gates] + [po]
+    ready = [None if f else 0 for f in fanins[:n]]  # wave of each gate's add
+    folded = [1] * (n + 1)  # the next fanin each row folds
+    latest = [None] * (n + 1)  # wave of each row's latest merge
+    slots = []
+    for wave, (merge, add) in enumerate(waves.waves, start=1):
+        if merge is not None:
+            assert merge.gather.tolist() == merge.left + merge.right
+            assert merge.scatter.tolist() == merge.out
+            assert len(set(merge.out)) == len(merge.out)
+            for left, right, row in zip(merge.left, merge.right, merge.out):
+                j = folded[row]
+                assert right == fanins[row][j]
+                if j == 1:
+                    assert left == fanins[row][0]
+                    operands = [ready[left], ready[right]]
+                else:
+                    assert left == row
+                    operands = [latest[row], ready[right]]
+                assert None not in operands and max(operands) + 1 == wave
+                folded[row], latest[row] = j + 1, wave
+                slots.append(row * width + j)
+        if add is not None:
+            assert add.src_rows.tolist() == add.src
+            assert add.gate_rows.tolist() == add.gates
+            for src, gate in zip(add.src, add.gates):
+                assert gate < n and ready[gate] is None
+                assert folded[gate] == len(fanins[gate])
+                if len(fanins[gate]) == 1:
+                    assert src == fanins[gate][0] and ready[src] + 1 == wave
+                else:
+                    assert src == gate and latest[gate] == wave
+                ready[gate] = wave
+    assert None not in ready
+    assert folded[n] == len(po)
+    assert waves.sink == (n if len(po) > 1 else po[0])
+    assert waves.slots.tolist() == slots
+    assert waves.n_merges == len(slots) == sum(max(len(f) - 1, 0) for f in fanins)
+    assert waves.n_merge_calls == sum(merge is not None for merge, _ in waves.waves)
+
+
+class TestWaveSchedule:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_benchmark_schedules_replay_the_fold(self, name, lib):
+        view = TimingView(make_benchmark(name, lib))
+        assert_wave_schedule(view)
+        again = TimingView(make_benchmark(name, lib)).waves
+        assert schedule_fields(again) == schedule_fields(view.waves)
+        po = np.flatnonzero(view.is_primary_output)
+        rebuilt = WaveSchedule.build(view.schedule, po)
+        assert schedule_fields(rebuilt) == schedule_fields(view.waves)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_schedules_replay_the_fold(self, name, lib):
+        view = TimingView(_chain_circuit(lib, DEGENERATE[name]))
+        assert_wave_schedule(view)
+
+    def test_c432_merge_calls(self, c432):
+        waves = TimingView(c432).waves
+        # 36 rank-column merges plus 6 one-row output-fold merges before.
+        assert (waves.n_merge_calls, waves.n_merges, waves.n_outputs) == (28, 174, 7)
 
 
 @pytest.fixture
