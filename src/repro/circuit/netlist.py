@@ -9,7 +9,8 @@ Design decisions
 * Gates reference their fanins **by net name** (a net is named after the
   gate or primary input driving it); the circuit resolves names to indices
   once, on :meth:`Circuit.freeze`, after which topological order, levels,
-  and fanout maps are cached arrays.
+  and fanout maps are cached, and the pin structure is held as arrays
+  (:class:`PinIndex`) that the timing and power layers build from.
 * The *implementation state* (drive ``size``, :class:`VthClass` and
   length bias) is mutable per gate — this is what the optimizers search
   over — while the *structure* is frozen.  Freezing moves the state into
@@ -64,6 +65,44 @@ class StateArrays:
     def set_vth(self, index: int, vth: VthClass) -> None:
         """Set one gate's Vth flavour."""
         self.vths[index] = VTH_CODES[vth]
+
+
+class PinIndex:
+    """A frozen circuit's pin structure, as dense arrays.
+
+    Nets are numbered by *net id*: the gates ``0 ... n_gates - 1`` in
+    dense (topological) order, then the primary inputs ``n_gates ...
+    n_gates + n_inputs - 1`` in declaration order.  ``arity`` holds each
+    gate's fanin count and ``fanins`` every gate's fanin net ids, gate by
+    gate in dense order, each gate's in pin order.  ``rank`` is each
+    gate's logic level minus one: 0 for a gate fed only by primary
+    inputs, else one past its deepest gate fanin's rank.
+    """
+
+    __slots__ = ("n_gates", "n_inputs", "arity", "fanins", "rank")
+
+    def __init__(
+        self, n_inputs: int, arity: np.ndarray, fanins: np.ndarray, rank: np.ndarray
+    ) -> None:
+        self.n_gates = arity.size
+        self.n_inputs = n_inputs
+        self.arity = arity
+        self.fanins = fanins
+        self.rank = rank
+
+    def owners(self) -> np.ndarray:
+        """The gate each entry of :attr:`fanins` belongs to."""
+        return np.repeat(np.arange(self.n_gates), self.arity)
+
+    def padded(self, fill: int | np.ndarray) -> np.ndarray:
+        """Fanin net ids as an ``(n_gates, width)`` matrix, each row padded
+        to the widest gate's arity with ``fill`` (a scalar, or one value
+        per row as an ``(n_gates, 1)`` column)."""
+        arity = self.arity
+        used = np.arange(arity.max()) < arity[:, None]
+        matrix = np.full(used.shape, fill, dtype=np.intp)
+        matrix[used] = self.fanins
+        return matrix
 
 
 class Gate:
@@ -207,6 +246,8 @@ class Circuit:
         self._fanouts: Dict[str, List[str]] = {}
         self._gate_index: Dict[str, int] = {}
         self._state: Optional[StateArrays] = None
+        self._pins: Optional[PinIndex] = None
+        self._indexed: List[Gate] = []
         self._insertion_order = np.empty(0, dtype=np.intp)
 
     # -- construction ---------------------------------------------------------
@@ -272,12 +313,14 @@ class Circuit:
                 raise NetlistError(f"{self.name}: undefined primary output {out!r}")
         self._build_topology()
         gates = [self._gates[name] for name in self._topo]
+        self._indexed = gates
         self._state = StateArrays(self.library, gates)
         for index, gate in enumerate(gates):
             gate._state, gate._index = self._state, index
         self._insertion_order = np.array(
             [self._gate_index[name] for name in self._gates], dtype=np.intp
         )
+        self._pins = self._pin_index(gates)
         self._frozen = True
         return self
 
@@ -356,7 +399,18 @@ class Circuit:
     def indexed_gates(self) -> List[Gate]:
         """Gates ordered by their dense (topological) index."""
         self.freeze()
-        return [self._gates[name] for name in self._topo]
+        return list(self._indexed)
+
+    @property
+    def pins(self) -> PinIndex:
+        """The pin structure as dense arrays (freezes the circuit)."""
+        self.freeze()
+        return self._pins  # type: ignore[return-value]
+
+    def insertion_ranks(self) -> np.ndarray:
+        """Each gate's position in insertion order, by dense index."""
+        self.freeze()
+        return np.argsort(self._insertion_order)
 
     def cell_of(self, gate: Gate) -> Cell:
         """The library cell a gate instantiates."""
@@ -488,3 +542,17 @@ class Circuit:
         self._levels = levels
         self._fanouts = consumers
         self._gate_index = {name: i for i, name in enumerate(order)}
+
+    def _pin_index(self, gates: List[Gate]) -> PinIndex:
+        n = len(gates)
+        net_id = dict(self._gate_index)
+        net_id.update((name, n + i) for i, name in enumerate(self._inputs))
+        arity = np.fromiter((len(g.fanins) for g in gates), dtype=np.intp, count=n)
+        fanins = np.fromiter(
+            (net_id[f] for g in gates for f in g.fanins),
+            dtype=np.intp, count=int(arity.sum()),
+        )
+        # level = 1 + max fanin level, and a primary input's level is 0.
+        levels = self._levels
+        rank = np.fromiter((levels[name] for name in self._topo), dtype=np.intp, count=n)
+        return PinIndex(len(self._inputs), arity, fanins, rank - 1)

@@ -100,6 +100,8 @@ from .power import (
     analyze_leakage,
     analyze_statistical_leakage,
     run_monte_carlo_leakage,
+    signal_probabilities,
+    switching_activities,
 )
 from .tech import available_technologies, default_library, save_liberty
 from .telemetry import (
@@ -113,6 +115,7 @@ from .telemetry import (
 )
 from .mcstat import ESTIMATOR_NAMES, binomial_estimate
 from .timing import (
+    TimingView,
     estimate_timing_yield,
     run_monte_carlo_sta,
     run_ssta,
@@ -178,11 +181,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     lib, circuit = _resolve_circuit(args.circuit, args.tech)
     spec = default_variation(lib.tech.lnom)
     varmodel = build_variation_model(circuit, spec)
-    sta = run_sta(circuit)
-    ssta = run_ssta(circuit, varmodel)
-    nominal = analyze_leakage(circuit)
-    stat = analyze_statistical_leakage(circuit, varmodel)
-    dynamic = analyze_dynamic_power(circuit)
+    # One timing view and one probability pass serve every analysis.
+    view = TimingView(circuit)
+    probs = signal_probabilities(circuit)
+    sta = run_sta(view)
+    ssta = run_ssta(view, varmodel)
+    nominal = analyze_leakage(circuit, probs)
+    stat = analyze_statistical_leakage(circuit, varmodel, probs)
+    dynamic = analyze_dynamic_power(view, activities=switching_activities(circuit, probs))
     print(
         format_table(
             ["metric", "value"],

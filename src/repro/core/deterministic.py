@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
-from ..power.probability import gate_input_probabilities, signal_probabilities
 from ..power.leakage import GateLeakage
+from ..power.probability import pin_probabilities, signal_probabilities
 from ..tech.corners import ProcessCorner, slow_corner
 from ..tech.technology import VthClass
 from ..telemetry import get_telemetry
@@ -49,7 +48,11 @@ class _DetState:
 
 
 class DeterministicStrategy(ConstraintStrategy):
-    """Corner-delay constraint + nominal-leakage objective."""
+    """Corner-delay constraint + nominal-leakage objective.
+
+    ``leakage`` gives the nominal gate currents the objective sums (the
+    flow's :class:`~repro.power.leakage.GateLeakage`).
+    """
 
     name = "deterministic"
 
@@ -58,13 +61,13 @@ class DeterministicStrategy(ConstraintStrategy):
         view: TimingView,
         corner: ProcessCorner,
         target_delay: float,
-        probs: Dict[str, float],
+        leakage: GateLeakage,
         config: OptimizerConfig,
     ) -> None:
         self.view = view
         self.corner = corner
         self.target_delay = target_delay
-        self.probs = probs
+        self.leakage = leakage
         self.config = config
         # Corner delays exceed nominal by a per-Vth-class factor; the local
         # filter compares a *nominal* delay cost against *corner* slack, so
@@ -96,14 +99,8 @@ class DeterministicStrategy(ConstraintStrategy):
     def on_move_reverted(self, move: Move) -> None:
         self._tracker().notify(move.index, size_changed=move.kind == "size")
 
-    @cached_property
-    def _leakage(self) -> GateLeakage:
-        """Nominal gate leakage at this run's input probabilities."""
-        circuit = self.view.circuit
-        return GateLeakage(circuit, gate_input_probabilities(circuit, self.probs))
-
     def objective(self) -> float:
-        return float(self._leakage.currents().sum())
+        return float(self.leakage.currents().sum())
 
     def move_costs(
         self, state: _DetState, index: np.ndarray, delay_cost: np.ndarray
@@ -152,12 +149,12 @@ def optimize_deterministic(
             target_delay = config.delay_margin * dmin
 
         probs = signal_probabilities(circuit)
-        gate_probs = gate_input_probabilities(circuit, probs)
+        leakage = GateLeakage(circuit, pin_probabilities(circuit, probs))
         initial = circuit.assignment()
         before = snapshot_metrics(view, varmodel, target_delay, corner, config, probs)
 
-        strategy = DeterministicStrategy(view, corner, target_delay, probs, config)
-        records, applied = run_phased(view, strategy, config, gate_probs)
+        strategy = DeterministicStrategy(view, corner, target_delay, leakage, config)
+        records, applied = run_phased(view, strategy, config, leakage)
 
         after = snapshot_metrics(view, varmodel, target_delay, corner, config, probs)
     return OptimizationResult(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -51,9 +51,11 @@ def run_phased(
     view: "TimingView",
     strategy: "ConstraintStrategy",
     config: "OptimizerConfig",
-    gate_probs: Dict[str, tuple],
+    leakage: GateLeakage,
 ) -> Tuple[List["PassRecord"], int]:
     """Run the greedy engine in phases: Vth swaps, then sizing, then Vth.
+
+    Every phase scores its moves with the flow's one ``leakage``.
 
     Interleaving the move families in one greedy run is an ordering
     trap: downsizes are individually cheap, so they happily consume the
@@ -92,7 +94,7 @@ def run_phased(
     records: List[PassRecord] = []
     total = 0
     for phase_index, phase_config in enumerate(phase_configs):
-        engine = GreedyEngine(view, strategy, phase_config, gate_probs)
+        engine = GreedyEngine(view, strategy, phase_config, leakage)
         with tele.span(
             "opt.phase", flow=strategy.name, index=phase_index
         ) as phase_span:
@@ -162,20 +164,23 @@ class ScoredMoves:
 
 
 class GreedyEngine:
-    """Chunked greedy leakage minimizer over a fixed move space."""
+    """Chunked greedy leakage minimizer over a fixed move space.
+
+    ``leakage`` evaluates the nominal gate currents candidate moves are
+    scored by (the flow's :class:`~repro.power.leakage.GateLeakage`).
+    """
 
     def __init__(
         self,
         view: TimingView,
         strategy: ConstraintStrategy,
         config: OptimizerConfig,
-        gate_probs: Dict[str, tuple],
+        leakage: GateLeakage,
     ) -> None:
         self.view = view
         self.strategy = strategy
         self.config = config
-        self.gate_probs = gate_probs
-        self.leakage = GateLeakage(view.circuit, gate_probs)
+        self.leakage = leakage
 
     def run(self) -> Tuple[List[PassRecord], int]:
         """Run to convergence; returns (pass records, total moves kept).

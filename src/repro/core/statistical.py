@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..engines import get_engine
 from ..power.leakage import GateLeakage
-from ..power.probability import gate_input_probabilities, signal_probabilities
+from ..power.probability import pin_probabilities, signal_probabilities
 from ..power.statistical import analyze_statistical_leakage
 from ..tech.corners import slow_corner
 from ..tech.technology import VthClass
@@ -64,7 +63,11 @@ class _StatState:
 
 
 class StatisticalStrategy(ConstraintStrategy):
-    """Yield constraint + statistical-leakage objective."""
+    """Yield constraint + statistical-leakage objective.
+
+    ``leakage`` gives the nominal gate currents the objective's lognormal
+    sum starts from (the flow's :class:`~repro.power.leakage.GateLeakage`).
+    """
 
     name = "statistical"
 
@@ -74,13 +77,13 @@ class StatisticalStrategy(ConstraintStrategy):
         varmodel: VariationModel,
         target_delay: float,
         config: OptimizerConfig,
-        probs: Dict[str, float],
+        leakage: GateLeakage,
     ) -> None:
         self.view = view
         self.varmodel = varmodel
         self.target_delay = target_delay
         self.config = config
-        self.probs = probs
+        self.leakage = leakage
         from scipy import stats
 
         #: Standard-normal quantile of the yield target (the config is
@@ -138,18 +141,12 @@ class StatisticalStrategy(ConstraintStrategy):
             )
             return result.yield_at(self.target_delay)
 
-    @cached_property
-    def _leakage(self) -> GateLeakage:
-        """Nominal gate leakage at this run's input probabilities."""
-        circuit = self.view.circuit
-        return GateLeakage(circuit, gate_input_probabilities(circuit, self.probs))
-
     def objective(self) -> float:
         stat = analyze_statistical_leakage(
             self.view.circuit,
             self.varmodel,
             derate_rdf_with_size=self.config.derate_rdf_with_size,
-            nominal_currents=self._leakage.currents(),
+            nominal_currents=self.leakage.currents(),
         )
         return stat.high_confidence_power(self.config.confidence_k)
 
@@ -208,12 +205,12 @@ def optimize_statistical(
                 target_delay = config.delay_margin * dmin
 
             probs = signal_probabilities(circuit)
-            gate_probs = gate_input_probabilities(circuit, probs)
+            leakage = GateLeakage(circuit, pin_probabilities(circuit, probs))
             initial = circuit.assignment()
         before = snapshot_metrics(view, varmodel, target_delay, corner, config, probs)
 
-        strategy = StatisticalStrategy(view, varmodel, target_delay, config, probs)
-        records, applied = run_phased(view, strategy, config, gate_probs)
+        strategy = StatisticalStrategy(view, varmodel, target_delay, config, leakage)
+        records, applied = run_phased(view, strategy, config, leakage)
 
         after = snapshot_metrics(view, varmodel, target_delay, corner, config, probs)
     return OptimizationResult(

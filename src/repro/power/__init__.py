@@ -11,6 +11,8 @@ from .leakage import (
 from .mc import MCLeakageResult, run_monte_carlo_leakage
 from .probability import (
     gate_input_probabilities,
+    net_probabilities,
+    pin_probabilities,
     signal_probabilities,
     switching_activities,
 )
@@ -38,6 +40,8 @@ __all__ = [
     "gate_log_leakage_terms",
     "leakage_temperature_sweep",
     "leakage_by_vth_class",
+    "net_probabilities",
+    "pin_probabilities",
     "run_monte_carlo_leakage",
     "signal_probabilities",
     "switching_activities",

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..errors import PowerError
 from ..tech.corners import ProcessCorner
-from .probability import gate_input_probabilities, signal_probabilities
+from .probability import pin_probabilities
 
 
 @dataclass(frozen=True)
@@ -65,24 +65,23 @@ class GateLeakage:
     deviation is scaled by ``math.exp`` of its exponent, one gate at a
     time, because NumPy's ``exp`` may differ in the last ulp.
 
-    ``gate_probs`` maps each gate name to its input probabilities (as
-    :func:`~repro.power.probability.gate_input_probabilities` returns).
+    ``pin_probs`` holds every gate's input probabilities, dense order,
+    zero-padded to the widest gate's arity (as
+    :func:`~repro.power.probability.pin_probabilities` returns).  A flow
+    builds one and shares it between its objective and every phase's
+    candidate scoring.
     """
 
-    def __init__(
-        self, circuit: Circuit, gate_probs: Mapping[str, Sequence[float]]
-    ) -> None:
+    def __init__(self, circuit: Circuit, pin_probs: np.ndarray) -> None:
         self._state = circuit.state
         self._tables = circuit.library.tables
         self._sensitivities = circuit.library.log_leakage_sensitivities
-        fanin_probs = [list(gate_probs[g.name]) for g in circuit.indexed_gates()]
-        width = max(map(len, fanin_probs))
-        pins = np.array([p + [0.0] * (width - len(p)) for p in fanin_probs])
+        n_gates, width = pin_probs.shape
         self._n_states = 1 << width
         state_bits = np.arange(self._n_states)
-        weights = np.ones((len(fanin_probs), self._n_states))
+        weights = np.ones((n_gates, self._n_states))
         for bit in range(width):
-            p = pins[:, bit : bit + 1]
+            p = pin_probs[:, bit : bit + 1]
             weights *= np.where((state_bits >> bit) & 1 == 1, p, 1.0 - p)
         self._weights = weights
 
@@ -151,11 +150,7 @@ def gate_leakage_currents(
     corner applies the shared exponential process factor.  One
     :class:`GateLeakage` evaluation, bit for bit :meth:`Cell.leakage`.
     """
-    circuit.freeze()
-    if probs is None:
-        probs = signal_probabilities(circuit)
-    gate_probs = gate_input_probabilities(circuit, probs)
-    return GateLeakage(circuit, gate_probs).currents(corner)
+    return GateLeakage(circuit, pin_probabilities(circuit, probs)).currents(corner)
 
 
 def analyze_leakage(

@@ -34,7 +34,6 @@ from ..parallel.plan import SampleShard
 from ..timing.mc import ProcessSamples, _concat_samples, _draw_shard
 from ..variation.model import VariationModel
 from .leakage import gate_leakage_currents
-from .probability import signal_probabilities
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,6 @@ def run_monte_carlo_leakage(
             f"variation model covers {varmodel.n_gates} gates, "
             f"circuit has {circuit.n_gates}"
         )
-    if probs is None:
-        probs = signal_probabilities(circuit)
     nominal = gate_leakage_currents(circuit, probs)
     s_l, s_v = circuit.library.log_leakage_sensitivities
     vdd = circuit.library.tech.vdd

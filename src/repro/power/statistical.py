@@ -27,7 +27,6 @@ from ..telemetry import get_telemetry
 from ..variation.lognormal import LognormalSummary, loading_groups, sum_of_lognormals
 from ..variation.model import VariationModel
 from .leakage import gate_leakage_currents
-from .probability import signal_probabilities
 
 #: k for the default high-confidence point: mean + 1.645 sigma (~95th pct
 #: for a near-Gaussian; the matched-lognormal percentile is also exposed).
@@ -138,8 +137,6 @@ def analyze_statistical_leakage(
     tele = get_telemetry()
     tele.counter("leakage_evals_total").inc()
     with tele.span("leakage.analyze", gates=circuit.n_gates) as span:
-        if probs is None and nominal_currents is None:
-            probs = signal_probabilities(circuit)
         rel_area: np.ndarray | float | None = None
         if not derate_rdf_with_size:
             rel_area = 1.0

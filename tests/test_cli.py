@@ -2,8 +2,10 @@
 
 ``tests/goldens/cli_mc.json`` freezes the stdout of ``repro mc c17
 --samples 256`` for every engine under the ``plain`` and ``isle``
-estimators, compared byte for byte; a missing file fails.  After a
-deliberate change to that output, rewrite the file with::
+estimators, and ``tests/goldens/cli_analyze.json`` that of ``repro
+analyze`` on c17, c432 and c880; both are compared byte for byte and a
+missing file fails.  After a deliberate change to either output,
+rewrite both files with::
 
     PYTHONPATH=src python tests/test_cli.py
 """
@@ -18,24 +20,37 @@ import pytest
 from repro.cli import main
 from repro.engines import ENGINE_NAMES
 
-CLI_MC_GOLDEN = Path(__file__).resolve().parent / "goldens" / "cli_mc.json"
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+CLI_MC_GOLDEN = GOLDENS / "cli_mc.json"
 CLI_MC_RUNS = tuple(
     ("mc", "c17", "--samples", "256", "--engine", engine,
      "--estimator", estimator)
     for engine in ENGINE_NAMES
     for estimator in ("plain", "isle")
 )
+CLI_ANALYZE_GOLDEN = GOLDENS / "cli_analyze.json"
+CLI_ANALYZE_RUNS = tuple(("analyze", name) for name in ("c17", "c432", "c880"))
 
 
-def cli_mc_outputs():
-    """Stdout of every golden ``repro mc`` run, keyed by its arguments."""
+def cli_outputs(runs):
+    """Stdout of every run in ``runs``, keyed by its arguments."""
     outputs = {}
-    for argv in CLI_MC_RUNS:
+    for argv in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(list(argv)) == 0, argv
         outputs[" ".join(argv)] = out.getvalue()
     return outputs
+
+
+def assert_matches_golden(path, runs):
+    if not path.exists():
+        pytest.fail(f"{path.name} is missing; regenerate it (see module docstring)")
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    actual = cli_outputs(runs)
+    assert sorted(actual) == sorted(golden)
+    for run, out in actual.items():
+        assert out == golden[run], f"`repro {run}` output drifted"
 
 
 def test_list_command(capsys):
@@ -71,6 +86,27 @@ def test_analyze_command(capsys):
     out = capsys.readouterr().out
     assert "SSTA mean delay" in out
     assert "mean leakage" in out
+
+
+def test_analyze_builds_one_view_and_one_probability_pass(monkeypatch, capsys):
+    import repro.power.probability as probability
+    from repro.timing import TimingView
+
+    calls = {"views": 0, "passes": 0}
+    init, propagate = TimingView.__init__, probability.net_probabilities
+
+    def counting_init(self, *args, **kwargs):
+        calls["views"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_propagate(*args, **kwargs):
+        calls["passes"] += 1
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(TimingView, "__init__", counting_init)
+    monkeypatch.setattr(probability, "net_probabilities", counting_propagate)
+    assert main(["analyze", "c432"]) == 0
+    assert calls == {"views": 1, "passes": 1}
 
 
 def test_analyze_other_tech(capsys):
@@ -185,13 +221,11 @@ def test_mc_invalid_bins_rejected(capsys):
 
 
 def test_mc_output_matches_golden():
-    if not CLI_MC_GOLDEN.exists():
-        pytest.fail(f"{CLI_MC_GOLDEN.name} is missing; regenerate it (see module docstring)")
-    golden = json.loads(CLI_MC_GOLDEN.read_text(encoding="utf-8"))
-    actual = cli_mc_outputs()
-    assert sorted(actual) == sorted(golden)
-    for run, out in actual.items():
-        assert out == golden[run], f"`repro {run}` output drifted"
+    assert_matches_golden(CLI_MC_GOLDEN, CLI_MC_RUNS)
+
+
+def test_analyze_output_matches_golden():
+    assert_matches_golden(CLI_ANALYZE_GOLDEN, CLI_ANALYZE_RUNS)
 
 
 def test_mc_unknown_engine_rejected_by_parser():
@@ -315,5 +349,6 @@ def test_info_clean_circuit_says_clean(tmp_path, capsys):
 if __name__ == "__main__":
     from repro.atomicio import atomic_write_json
 
-    atomic_write_json(CLI_MC_GOLDEN, cli_mc_outputs())
-    print(f"wrote {CLI_MC_GOLDEN}")
+    for path, runs in ((CLI_MC_GOLDEN, CLI_MC_RUNS), (CLI_ANALYZE_GOLDEN, CLI_ANALYZE_RUNS)):
+        atomic_write_json(path, cli_outputs(runs))
+        print(f"wrote {path}")

@@ -5,7 +5,7 @@ import pytest
 from repro.core import GreedyEngine, OptimizerConfig
 from repro.core.engine import ConstraintStrategy
 from repro.errors import InfeasibleConstraintError, OptimizationError
-from repro.power import gate_input_probabilities, signal_probabilities
+from repro.power import GateLeakage, pin_probabilities
 from repro.timing import TimingView, run_sta
 
 
@@ -45,23 +45,23 @@ def view(c432):
 
 
 @pytest.fixture
-def gate_probs(c432):
-    return gate_input_probabilities(c432, signal_probabilities(c432))
+def leakage(c432):
+    return GateLeakage(c432, pin_probabilities(c432))
 
 
-def test_infeasible_start_raises(view, gate_probs):
+def test_infeasible_start_raises(view, leakage):
     base = run_sta(view).circuit_delay
     strategy = BudgetStrategy(view, 0.5 * base)
-    engine = GreedyEngine(view, strategy, OptimizerConfig(), gate_probs)
+    engine = GreedyEngine(view, strategy, OptimizerConfig(), leakage)
     with pytest.raises(InfeasibleConstraintError):
         engine.run()
 
 
-def test_reduces_objective_and_respects_budget(view, gate_probs):
+def test_reduces_objective_and_respects_budget(view, leakage):
     base = run_sta(view).circuit_delay
     budget = 1.3 * base
     strategy = BudgetStrategy(view, budget)
-    engine = GreedyEngine(view, strategy, OptimizerConfig(), gate_probs)
+    engine = GreedyEngine(view, strategy, OptimizerConfig(), leakage)
     before = strategy.objective()
     records, applied = engine.run()
     after = strategy.objective()
@@ -70,19 +70,19 @@ def test_reduces_objective_and_respects_budget(view, gate_probs):
     assert run_sta(view).circuit_delay <= budget * (1 + 1e-12)
 
 
-def test_objective_monotone_across_passes(view, gate_probs):
+def test_objective_monotone_across_passes(view, leakage):
     base = run_sta(view).circuit_delay
     strategy = BudgetStrategy(view, 1.2 * base)
-    engine = GreedyEngine(view, strategy, OptimizerConfig(), gate_probs)
+    engine = GreedyEngine(view, strategy, OptimizerConfig(), leakage)
     records, _ = engine.run()
     objectives = [r.objective for r in records]
     assert all(a >= b - 1e-18 for a, b in zip(objectives, objectives[1:]))
 
 
-def test_pass_records_are_consistent(view, gate_probs):
+def test_pass_records_are_consistent(view, leakage):
     base = run_sta(view).circuit_delay
     strategy = BudgetStrategy(view, 1.2 * base)
-    engine = GreedyEngine(view, strategy, OptimizerConfig(min_chunk=4), gate_probs)
+    engine = GreedyEngine(view, strategy, OptimizerConfig(min_chunk=4), leakage)
     records, applied = engine.run()
     assert sum(r.applied for r in records) == applied
     for r in records:
@@ -90,10 +90,10 @@ def test_pass_records_are_consistent(view, gate_probs):
         assert r.reverted >= 0
 
 
-def test_tight_budget_yields_few_moves(view, gate_probs):
+def test_tight_budget_yields_few_moves(view, leakage):
     base = run_sta(view).circuit_delay
     tight = BudgetStrategy(view, 1.001 * base)
-    engine = GreedyEngine(view, tight, OptimizerConfig(), gate_probs)
+    engine = GreedyEngine(view, tight, OptimizerConfig(), leakage)
     _, applied_tight = engine.run()
 
     # Rebuild at a looser budget on a fresh circuit state.
@@ -102,16 +102,16 @@ def test_tight_budget_yields_few_moves(view, gate_probs):
 
     view.circuit.set_uniform(vth=VthClass.LOW)
     loose = BudgetStrategy(view, 1.5 * base)
-    engine = GreedyEngine(view, loose, OptimizerConfig(), gate_probs)
+    engine = GreedyEngine(view, loose, OptimizerConfig(), leakage)
     _, applied_loose = engine.run()
     assert applied_loose > applied_tight
 
 
-def test_max_passes_bounds_work(view, gate_probs):
+def test_max_passes_bounds_work(view, leakage):
     base = run_sta(view).circuit_delay
     strategy = BudgetStrategy(view, 1.3 * base)
     engine = GreedyEngine(
-        view, strategy, OptimizerConfig(max_passes=2), gate_probs
+        view, strategy, OptimizerConfig(max_passes=2), leakage
     )
     records, _ = engine.run()
     assert len(records) <= 2

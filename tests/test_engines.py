@@ -331,7 +331,7 @@ class TestResultSurface:
         def strategy(engine):
             return StatisticalStrategy(
                 view, varmodel_c432, target,
-                OptimizerConfig(timing_engine=engine), probs={},
+                OptimizerConfig(timing_engine=engine), leakage=None,
             )
 
         y_clark = strategy("clark").evaluate_yield()
@@ -364,7 +364,7 @@ class TestOptimizerYieldPath:
         from repro.core.statistical import StatisticalStrategy
 
         return StatisticalStrategy(
-            view, varmodel, target, OptimizerConfig(**config), probs={}
+            view, varmodel, target, OptimizerConfig(**config), leakage=None
         )
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)

@@ -31,7 +31,10 @@ class TestStructure:
         view = TimingView(diamond)
         i_top = diamond.gate_index("top")
         assert view.fanin_gates[i_top].size == 0
-        assert view.has_input_fanin[i_top]
+        pins = diamond.pins
+        has_input_fanin = np.zeros(view.n_gates, dtype=bool)
+        has_input_fanin[pins.owners()[pins.fanins >= pins.n_gates]] = True
+        assert has_input_fanin.tolist() == [i == i_top for i in range(view.n_gates)]
 
     def test_consumer_pins(self, diamond):
         view = TimingView(diamond)

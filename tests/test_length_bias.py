@@ -9,8 +9,7 @@ from repro.errors import OptimizationError
 from repro.power import (
     GateLeakage,
     analyze_leakage,
-    gate_input_probabilities,
-    signal_probabilities,
+    pin_probabilities,
 )
 from repro.timing import TimingView, run_sta
 
@@ -75,10 +74,9 @@ class TestMoves:
 
     def test_cost_positive_gain_positive(self, c17):
         view = TimingView(c17)
-        probs = gate_input_probabilities(c17, signal_probabilities(c17))
         move = Move(index=0, kind="lbias", new_lbias=4e-9)
         assert own_delay_cost(view, move, view.load_cap_of(0)) > 0
-        assert leakage_gain(view, move, GateLeakage(c17, probs)) > 0
+        assert leakage_gain(view, move, GateLeakage(c17, pin_probabilities(c17))) > 0
 
 
 class TestOptimizer:

@@ -14,6 +14,7 @@ from repro.core.moves import Move
 from repro.power import (
     GateLeakage,
     gate_input_probabilities,
+    pin_probabilities,
     signal_probabilities,
 )
 from repro.tech import VthClass
@@ -29,6 +30,11 @@ def view(c17):
 def gate_probs(c17):
     probs = signal_probabilities(c17)
     return gate_input_probabilities(c17, probs)
+
+
+@pytest.fixture
+def leakage(c17):
+    return GateLeakage(c17, pin_probabilities(c17))
 
 
 class TestEnumeration:
@@ -110,18 +116,18 @@ class TestLocalEstimates:
 
 
 class TestLeakageGain:
-    def test_vth_swap_gain_positive_and_large(self, view, gate_probs):
+    def test_vth_swap_gain_positive_and_large(self, view, gate_probs, leakage):
         move = Move(index=0, kind="vth", new_vth=VthClass.HIGH)
-        gain = leakage_gain(view, move, GateLeakage(view.circuit, gate_probs))
+        gain = leakage_gain(view, move, leakage)
         before = view.cells[0].mean_leakage(
             1.0, VthClass.LOW, gate_probs[view.gates[0].name]
         )
         assert gain > 0.8 * before  # high-Vth removes >80% of the leakage
 
-    def test_downsize_gain_proportional(self, view, c17, gate_probs):
+    def test_downsize_gain_proportional(self, view, c17, gate_probs, leakage):
         c17.set_uniform(size=4.0)
         move = Move(index=0, kind="size", new_size=2.0)
-        gain = leakage_gain(view, move, GateLeakage(view.circuit, gate_probs))
+        gain = leakage_gain(view, move, leakage)
         before = view.cells[0].mean_leakage(
             4.0, VthClass.LOW, gate_probs[view.gates[0].name]
         )

@@ -153,14 +153,15 @@ class TestYieldQuantile:
         from scipy import stats
 
         from repro.core.statistical import StatisticalStrategy
-        from repro.power import signal_probabilities
+        from repro.power import GateLeakage, pin_probabilities
         from repro.timing import TimingView
 
         config = OptimizerConfig()
         view = TimingView(c432)
         strategy = StatisticalStrategy(
             view, build_variation_model(c432, spec),
-            1.2 * run_sta(view).circuit_delay, config, signal_probabilities(c432),
+            1.2 * run_sta(view).circuit_delay, config,
+            GateLeakage(c432, pin_probabilities(c432)),
         )
         assert strategy._z == float(stats.norm.ppf(config.yield_target))
 

@@ -173,15 +173,14 @@ class TestVectorizedPropagation:
         )
         fanin_gates = tuple(view.fanin_gates)
         po = view.primary_output_indices()
-        schedule = LevelSchedule.build(fanin_gates)
-        fast = _propagate_delays(samples, nominal, sens_l, sens_v, schedule, po)
+        fast = _propagate_delays(samples, nominal, sens_l, sens_v, view.schedule, po)
         slow = naive_propagate(samples, nominal, sens_l, sens_v, fanin_gates, po)
         assert np.array_equal(fast, slow)
 
     def test_schedule_is_a_partition_respecting_ranks(self, rca8):
         view = TimingView(rca8)
         fanin_gates = tuple(view.fanin_gates)
-        schedule = LevelSchedule.build(fanin_gates)
+        schedule = view.schedule
         seen = np.concatenate([gates for gates, _ in schedule.levels])
         assert sorted(seen.tolist()) == list(range(view.n_gates))
         rank_of = np.empty(view.n_gates, dtype=int)
@@ -194,7 +193,7 @@ class TestVectorizedPropagation:
     def test_schedule_pads_with_sentinel_column(self, rca8):
         view = TimingView(rca8)
         fanin_gates = tuple(view.fanin_gates)
-        schedule = LevelSchedule.build(fanin_gates)
+        schedule = view.schedule
         assert schedule.n_gates == view.n_gates
         gates0, matrix0 = schedule.levels[0]
         assert matrix0.size == 0  # rank 0 is the fanin-free gates
@@ -205,6 +204,7 @@ class TestVectorizedPropagation:
                 assert (matrix[row, fanins.size:] == view.n_gates).all()
 
     def test_empty_circuit_schedule(self):
-        schedule = LevelSchedule.build(())
+        empty = np.zeros(0, dtype=np.intp)
+        schedule = LevelSchedule.build(empty, empty, empty)
         assert schedule.n_gates == 0
         assert schedule.levels == ()

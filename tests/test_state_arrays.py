@@ -28,6 +28,7 @@ from repro.power import (
     GateLeakage,
     gate_input_probabilities,
     gate_leakage_currents,
+    pin_probabilities,
     signal_probabilities,
 )
 from repro.tech import VthClass, slow_corner
@@ -73,7 +74,7 @@ class Walk:
         self.lib = circuit.library
         self.rng = np.random.default_rng(seed)
         self.probs = signal_probabilities(circuit)
-        self.leakage = GateLeakage(circuit, gate_input_probabilities(circuit, self.probs))
+        self.leakage = GateLeakage(circuit, pin_probabilities(circuit, self.probs))
         self.shadow = self._read()
         self.applied = []  # (move, old state token, shadow before)
         self.snapshots = [circuit.assignment()]
@@ -202,14 +203,18 @@ class TestRandomWalks:
         }
 
 
-def _strategies(view, varmodel, spec, probs, config):
+def _leakage(circuit):
+    return GateLeakage(circuit, pin_probabilities(circuit))
+
+
+def _strategies(view, varmodel, spec, leakage, config):
     """Both flows' strategies at a target 10% above the current delay."""
     stat = StatisticalStrategy(
-        view, varmodel, 1.1 * run_sta(view).circuit_delay, config, probs
+        view, varmodel, 1.1 * run_sta(view).circuit_delay, config, leakage
     )
     corner = slow_corner(spec, config.corner_sigma)
     det = DeterministicStrategy(
-        view, corner, 1.1 * run_sta(view, corner=corner).circuit_delay, probs, config
+        view, corner, 1.1 * run_sta(view, corner=corner).circuit_delay, leakage, config
     )
     return (
         (stat, moves_ref.statistical_move_allowed, moves_ref.statistical_move_cost),
@@ -246,7 +251,9 @@ FAMILIES = {
 def assert_same_candidates(engine, strategy, allowed, cost, tabu) -> None:
     view = engine.view
     state = strategy.analyze()
-    memo = moves_ref.GateLeakageMemo(view.circuit, engine.gate_probs)
+    circuit = view.circuit
+    gate_probs = gate_input_probabilities(circuit, signal_probabilities(circuit))
+    memo = moves_ref.GateLeakageMemo(circuit, gate_probs)
     want = moves_ref.collect_candidates(
         view, engine.config, state, tabu, memo,
         functools.partial(allowed, strategy), functools.partial(cost, strategy),
@@ -264,14 +271,13 @@ class TestCandidateScoring:
         circuit = make_benchmark(name, lib)
         varmodel = build_variation_model(circuit, spec)
         view = TimingView(circuit)
-        probs = signal_probabilities(circuit)
-        gate_probs = gate_input_probabilities(circuit, probs)
+        leakage = _leakage(circuit)
         config = FAMILIES[family]
         rng = np.random.default_rng(7)
         for _ in range(8):
             _randomize(circuit, rng)
-            for strategy, allowed, cost in _strategies(view, varmodel, spec, probs, config):
-                engine = GreedyEngine(view, strategy, config, gate_probs)
+            for strategy, allowed, cost in _strategies(view, varmodel, spec, leakage, config):
+                engine = GreedyEngine(view, strategy, config, leakage)
                 moves = list(moves_ref.candidate_moves(
                     view, config.enable_vth, config.enable_sizing,
                     config.enable_lbias, config.lbias_step, config.lbias_max,
@@ -290,8 +296,7 @@ class TestCandidateScoring:
         _randomize(circuit, np.random.default_rng(5))
         config = FAMILIES["all"]
         strategy = TiedStrategy()
-        gate_probs = gate_input_probabilities(circuit, signal_probabilities(circuit))
-        engine = GreedyEngine(view, strategy, config, gate_probs)
+        engine = GreedyEngine(view, strategy, config, _leakage(circuit))
         assert_same_candidates(
             engine, strategy, lambda s, st, m, d: True, lambda s, st, m, d: np.inf, set()
         )
@@ -348,19 +353,19 @@ class TestEdgeCases:
             gate_leakage_currents(circuit, probs), leak_ref.gate_leakage_currents(circuit, probs)
         )
         config = FAMILIES["all"]
-        gate_probs = gate_input_probabilities(circuit, probs)
-        for strategy, allowed, cost in _strategies(view, varmodel, spec, probs, config):
-            engine = GreedyEngine(view, strategy, config, gate_probs)
+        leakage = _leakage(circuit)
+        for strategy, allowed, cost in _strategies(view, varmodel, spec, leakage, config):
+            engine = GreedyEngine(view, strategy, config, leakage)
             assert_same_candidates(engine, strategy, allowed, cost, set())
 
     def test_no_candidate_reads_no_criticality(self, c432, spec):
         varmodel = build_variation_model(c432, spec)
         view = TimingView(c432)
         c432.set_uniform(size=1.0, vth=VthClass.HIGH)
-        probs = signal_probabilities(c432)
+        leakage = _leakage(c432)
         config = OptimizerConfig()
-        (stat, allowed, cost), _ = _strategies(view, varmodel, spec, probs, config)
-        engine = GreedyEngine(view, stat, config, gate_input_probabilities(c432, probs))
+        (stat, allowed, cost), _ = _strategies(view, varmodel, spec, leakage, config)
+        engine = GreedyEngine(view, stat, config, leakage)
         state = stat.analyze()
         scored = engine._collect_candidates(state, set())
         assert len(scored) == 0 and scored.head(8) == []
