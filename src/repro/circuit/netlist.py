@@ -39,32 +39,58 @@ class StateArrays:
     and ``length_biases`` are the state.  ``size_codes`` (the size's grid
     position, ``-1`` off the grid; see :meth:`Library.size_code`) follows
     ``sizes`` on every write through :meth:`set_size`, and ``cells``
-    (library cell ids) is structure.  Write through the gates or the
-    setters, never into the arrays directly.
+    (library cell ids) is structure.  The public arrays are read-only
+    views: every write goes through :meth:`set_size`, :meth:`set_vth` or
+    :meth:`set_length_bias` (which the gate attributes call), and each of
+    them bumps :attr:`version`.  Equal versions therefore mean an
+    unchanged state, so a cache keyed by the version needs no comparison
+    of the arrays; the converse does not hold (a write and its revert
+    move the version but restore the state).
     """
 
-    __slots__ = ("cells", "sizes", "size_codes", "vths", "length_biases", "_library")
+    __slots__ = (
+        "cells", "sizes", "size_codes", "vths", "length_biases", "version",
+        "_sizes", "_size_codes", "_vths", "_length_biases", "_library",
+    )
 
     def __init__(self, library: Library, gates: Sequence["Gate"]) -> None:
         self._library = library
-        self.cells = np.array(
-            [library.cell_ids[g.cell_name] for g in gates], dtype=np.intp
+        self.cells = _read_only(
+            np.array([library.cell_ids[g.cell_name] for g in gates], dtype=np.intp)
         )
-        self.sizes = np.array([g._size for g in gates], dtype=float)
-        self.size_codes = np.array(
+        self._sizes = np.array([g._size for g in gates], dtype=float)
+        self._size_codes = np.array(
             [library.size_code(g._size) for g in gates], dtype=np.intp
         )
-        self.vths = np.array([VTH_CODES[g._vth] for g in gates], dtype=np.intp)
-        self.length_biases = np.array([g._length_bias for g in gates], dtype=float)
+        self._vths = np.array([VTH_CODES[g._vth] for g in gates], dtype=np.intp)
+        self._length_biases = np.array([g._length_bias for g in gates], dtype=float)
+        self.sizes = _read_only(self._sizes.view())
+        self.size_codes = _read_only(self._size_codes.view())
+        self.vths = _read_only(self._vths.view())
+        self.length_biases = _read_only(self._length_biases.view())
+        #: Number of writes so far: equal versions mean an unchanged state.
+        self.version = 0
 
     def set_size(self, index: int, size: float) -> None:
         """Set one gate's drive size."""
-        self.sizes[index] = size
-        self.size_codes[index] = self._library.size_code(size)
+        self._sizes[index] = size
+        self._size_codes[index] = self._library.size_code(size)
+        self.version += 1
 
     def set_vth(self, index: int, vth: VthClass) -> None:
         """Set one gate's Vth flavour."""
-        self.vths[index] = VTH_CODES[vth]
+        self._vths[index] = VTH_CODES[vth]
+        self.version += 1
+
+    def set_length_bias(self, index: int, bias: float) -> None:
+        """Set one gate's length bias [m]."""
+        self._length_biases[index] = bias
+        self.version += 1
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class PinIndex:
@@ -192,7 +218,7 @@ class Gate:
         if self._state is None:
             self._length_bias = value
         else:
-            self._state.length_biases[self._index] = value
+            self._state.set_length_bias(self._index, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -22,6 +22,7 @@ from .statistical import (
     StatisticalLeakage,
     analyze_statistical_leakage,
     gate_log_leakage_terms,
+    leakage_lognormal_sum,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "gate_log_leakage_terms",
     "leakage_temperature_sweep",
     "leakage_by_vth_class",
+    "leakage_lognormal_sum",
     "net_probabilities",
     "pin_probabilities",
     "run_monte_carlo_leakage",

@@ -24,7 +24,7 @@ import numpy as np
 from ..circuit.netlist import Circuit
 from ..errors import PowerError
 from ..telemetry import get_telemetry
-from ..variation.lognormal import LognormalSummary, loading_groups, sum_of_lognormals
+from ..variation.lognormal import LognormalSum, LognormalSummary
 from ..variation.model import VariationModel
 from .leakage import gate_leakage_currents
 
@@ -79,6 +79,53 @@ class StatisticalLeakage:
         return self.summary.mean / self.nominal_current
 
 
+def leakage_loadings(circuit: Circuit, varmodel: VariationModel) -> np.ndarray:
+    """Every gate's log-leakage loadings on the global factors,
+    ``s_l * L + s_v * V`` (dense order)."""
+    s_l, s_v = circuit.library.log_leakage_sensitivities
+    return s_l * varmodel.l_loadings + s_v * varmodel.vth_loadings
+
+
+def leakage_lognormal_sum(circuit: Circuit, varmodel: VariationModel) -> LognormalSum:
+    """The loading-only half of the leakage moments, prepared once.
+
+    The loadings depend on the variation model and the technology alone,
+    never on the implementation state, so a flow builds one per run and
+    passes it to every :func:`analyze_statistical_leakage` call.
+    """
+    return LognormalSum(leakage_loadings(circuit, varmodel))
+
+
+def _log_means_and_indep(
+    circuit: Circuit,
+    varmodel: VariationModel,
+    probs: Optional[Mapping[str, float]],
+    relative_area: np.ndarray | float | None,
+    nominal_currents: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The state-dependent lognormal-sum ingredients: ``(log_means,
+    indep_sigmas)``."""
+    circuit.freeze()
+    if varmodel.n_gates != circuit.n_gates:
+        raise PowerError(
+            f"variation model covers {varmodel.n_gates} gates, "
+            f"circuit has {circuit.n_gates}"
+        )
+    nominal = (
+        gate_leakage_currents(circuit, probs)
+        if nominal_currents is None
+        else nominal_currents
+    )
+    if np.any(nominal <= 0):
+        raise PowerError("non-positive nominal gate leakage")
+    s_l, s_v = circuit.library.log_leakage_sensitivities
+    if relative_area is None:
+        relative_area = circuit.state.sizes.copy()
+    vth_indep = varmodel.vth_indep_for(relative_area)
+    indep = np.hypot(s_l * varmodel.l_indep, s_v * vth_indep)
+    return np.log(nominal), indep
+
+
 def gate_log_leakage_terms(
     circuit: Circuit,
     varmodel: VariationModel,
@@ -95,26 +142,10 @@ def gate_log_leakage_terms(
     already holds (e.g. from a :class:`~repro.power.leakage.GateLeakage`);
     by default it is computed from ``probs``.
     """
-    circuit.freeze()
-    if varmodel.n_gates != circuit.n_gates:
-        raise PowerError(
-            f"variation model covers {varmodel.n_gates} gates, "
-            f"circuit has {circuit.n_gates}"
-        )
-    nominal = (
-        gate_leakage_currents(circuit, probs)
-        if nominal_currents is None
-        else nominal_currents
+    log_means, indep = _log_means_and_indep(
+        circuit, varmodel, probs, relative_area, nominal_currents
     )
-    if np.any(nominal <= 0):
-        raise PowerError("non-positive nominal gate leakage")
-    s_l, s_v = circuit.library.log_leakage_sensitivities
-    loadings = s_l * varmodel.l_loadings + s_v * varmodel.vth_loadings
-    if relative_area is None:
-        relative_area = circuit.state.sizes.copy()
-    vth_indep = varmodel.vth_indep_for(relative_area)
-    indep = np.hypot(s_l * varmodel.l_indep, s_v * vth_indep)
-    return np.log(nominal), loadings, indep
+    return log_means, leakage_loadings(circuit, varmodel), indep
 
 
 def analyze_statistical_leakage(
@@ -123,12 +154,16 @@ def analyze_statistical_leakage(
     probs: Optional[Mapping[str, float]] = None,
     derate_rdf_with_size: bool = True,
     nominal_currents: Optional[np.ndarray] = None,
+    lognormal_sum: Optional[LognormalSum] = None,
 ) -> StatisticalLeakage:
     """Full-chip statistical leakage at the current implementation state.
 
     ``derate_rdf_with_size`` mirrors the timing-side configuration: wider
     gates see less RDF noise (sigma ~ 1/sqrt(size)).  ``nominal_currents``
-    is as for :func:`gate_log_leakage_terms`.
+    is as for :func:`gate_log_leakage_terms`.  ``lognormal_sum`` passes
+    the :func:`leakage_lognormal_sum` of this circuit and model, which a
+    caller evaluating many states builds once; by default it is built
+    here.
 
     Traced as a ``leakage.analyze`` span (attributes ``gates`` and
     ``groups``, the number of distinct loading rows the moments were
@@ -140,13 +175,13 @@ def analyze_statistical_leakage(
         rel_area: np.ndarray | float | None = None
         if not derate_rdf_with_size:
             rel_area = 1.0
-        log_means, loadings, indep = gate_log_leakage_terms(
-            circuit, varmodel, probs, relative_area=rel_area,
-            nominal_currents=nominal_currents,
+        log_means, indep = _log_means_and_indep(
+            circuit, varmodel, probs, rel_area, nominal_currents
         )
-        summary = sum_of_lognormals(log_means, loadings, indep)
-        if tele.enabled:
-            span.set(groups=int(loading_groups(loadings)[0].shape[0]))
+        if lognormal_sum is None:
+            lognormal_sum = leakage_lognormal_sum(circuit, varmodel)
+        summary = lognormal_sum.summary(log_means, indep)
+        span.set(groups=lognormal_sum.n_groups)
     return StatisticalLeakage(
         summary=summary,
         vdd=circuit.library.tech.vdd,

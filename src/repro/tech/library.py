@@ -395,7 +395,8 @@ class LibraryTables:
     """Per-(cell, Vth, grid size) characterization tables of a library.
 
     Every entry is the scalar query's own value at that grid point --
-    :meth:`Cell.input_cap`, :meth:`Cell.nominal_delay_coefficients`,
+    :meth:`Cell.input_cap`, :meth:`Cell.parasitic_cap`,
+    :meth:`Cell.nominal_delay_coefficients`,
     :meth:`Cell.leakage_by_state` (zero-padded to 16 states) and the
     drive models' ``ln R`` sensitivities -- so a gather returns the bits
     the query would.  Cells are indexed by :attr:`Library.cell_ids`, Vth
@@ -415,12 +416,14 @@ class LibraryTables:
         n_cells, n_sizes = len(self.cells), len(library.sizes)
         shape = (n_cells, len(VTH_CLASSES), n_sizes)
         self.input_cap = np.empty((n_cells, n_sizes))
+        self.parasitic_cap = np.empty((n_cells, n_sizes))
         self.intrinsic = np.empty(shape)
         self.slope = np.empty(shape)
         self.leakage = np.zeros(shape + (16,))
         for c, cell in enumerate(self.cells):
             for s, size in enumerate(library.sizes):
                 self.input_cap[c, s] = cell.input_cap(size)
+                self.parasitic_cap[c, s] = cell.parasitic_cap(size)
                 for v, vth in enumerate(VTH_CLASSES):
                     self.intrinsic[c, v, s], self.slope[c, v, s] = (
                         cell.nominal_delay_coefficients(size, vth)
@@ -443,6 +446,16 @@ class LibraryTables:
         caps = self.input_cap[cells, size_codes]
         for k in self._off_grid(size_codes):
             caps[k] = self.cells[cells[k]].input_cap(sizes[k])
+        return caps
+
+    def parasitic_caps(
+        self, cells: np.ndarray, size_codes: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """Output parasitic capacitance of each element [F] (see
+        :meth:`Cell.parasitic_cap`)."""
+        caps = self.parasitic_cap[cells, size_codes]
+        for k in self._off_grid(size_codes):
+            caps[k] = self.cells[cells[k]].parasitic_cap(sizes[k])
         return caps
 
     def delay_coefficients(

@@ -189,7 +189,7 @@ class CanonicalArray:
         rows[:, 0] = mean
         rows[:, 2] = indep
         rows[:, 3:] = sens
-        rows[:, 1] = rowdot(rows[:, 3:], rows[:, 3:]) + indep * indep
+        rows[:, 1] = np.vecdot(rows[:, 3:], rows[:, 3:]) + indep * indep
         return cls(rows)
 
     @property
@@ -221,16 +221,6 @@ class CanonicalArray:
 
     def __iter__(self) -> Iterator[Canonical]:
         return (self[i] for i in range(len(self)))
-
-
-def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two ``(n, k)`` matrices.
-
-    A stack of ``(1, k) @ (k, 1)`` products: NumPy evaluates each with the
-    same BLAS ``ddot`` as the 1-D ``a[i] @ b[i]``, so every entry is
-    bit-identical to it (``einsum`` sums in another order).
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 class MergeBatch(NamedTuple):
@@ -269,8 +259,9 @@ def clark_merge(
     row, and ``sens`` as an ``(rows, k)`` array.  Per merge,
     :func:`~repro.timing.clark.max_moments` and ``math.sqrt`` run on the
     floats; NumPy does only the ``(rows, k)`` work: one gather, the
-    covariances and explained variances (:func:`rowdot`), the tightness
-    blend and one scatter.  Sensitivities blend with the tightness
+    covariances and explained variances (``np.vecdot``, each entry bit
+    for bit the 1-D ``a[i] @ b[i]``), the tightness blend and one
+    scatter.  Sensitivities blend with the tightness
     ``T = P(A >= B)``; the independent part absorbs whatever variance
     the blended globals do not explain (none when that is negative), and
     the merged variance is carried as ``explained + indep^2``, the value
@@ -279,18 +270,19 @@ def clark_merge(
     left = batch.left
     m = len(left)
     operands = sens[batch.gather]
-    cov = rowdot(operands[:m], operands[m:]).tolist()
+    a, b = operands[:m], operands[m:]
+    cov = np.vecdot(a, b).tolist()
     means, variances, tightness = zip(
         *[
             max_moments(mean[i], variance[i], mean[j], variance[j], c)
             for i, j, c in zip(left, batch.right, cov)
         ]
     )
-    # T * a + (1 - T) * b: both products in one call, then their sum.
-    weights = np.array((tightness, [1.0 - t for t in tightness]))
-    products = weights[:, :, None] * operands.reshape(2, m, -1)
-    blended = products[0] + products[1]
-    explained = rowdot(blended, blended).tolist()
+    # T * a + (1 - T) * b: the two products, then their sum.
+    w = np.array(tightness)
+    blended = w[:, None] * a
+    blended += (1.0 - w)[:, None] * b
+    explained = np.vecdot(blended, blended).tolist()
     for row, mu, var, e in zip(batch.out, means, variances, explained):
         unexplained = var - e
         sigma = 0.0 if unexplained < 0.0 else math.sqrt(unexplained)
@@ -298,7 +290,7 @@ def clark_merge(
         variance[row] = e + sigma * sigma
         indep[row] = sigma
     sens[batch.scatter] = blended
-    return weights[0]
+    return w
 
 
 def maximum_of(canonicals: list[Canonical]) -> Canonical:

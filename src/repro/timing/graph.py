@@ -6,7 +6,9 @@ indices, consumer pin incidence, primary-output membership) from the
 circuit's pin index, while reading the mutable implementation state
 (sizes, Vth flavours, length biases) live from the circuit's state arrays
 on each query — so one view serves an entire optimization run even as the
-optimizer rewrites sizes and thresholds.
+optimizer rewrites sizes and thresholds.  What it derives from the state
+(loads, nominal delays, the last SSTA) is kept for the state's current
+:attr:`~repro.circuit.netlist.StateArrays.version` only.
 
 Loads follow the standard lumped model: a gate's output drives the input
 capacitance of every consumer pin, one wire-capacitance lump per fanout
@@ -33,7 +35,7 @@ from ..tech.technology import VthClass
 from .canonical import MergeBatch
 
 if TYPE_CHECKING:
-    from .ssta import SSTAResult
+    from .ssta import LastSSTA
 
 
 @dataclass(frozen=True)
@@ -322,6 +324,10 @@ class TimingView:
     sums every net's pins in :meth:`load_cap_of`'s order.  The per-gate
     lists :attr:`fanin_gates` and :attr:`consumer_pins` are split from
     those arrays on first read.
+
+    :meth:`load_caps` and :meth:`nominal_delays` are computed at most once
+    per state version: the view keeps one slot holding both for the
+    version they were computed at and returns them read-only.
     """
 
     def __init__(self, circuit: Circuit, config: TimingConfig | None = None) -> None:
@@ -378,10 +384,16 @@ class TimingView:
         self._pin_counts = np.bincount(targets, minlength=n)
         self._pin_cells = self.state.cells[self._pin_gate]
         self._wire_loads = self._wire_cap * self._pin_counts
-        #: The last SSTA result on this view and the gate-delay canonical
-        #: rows it was propagated from (``None`` before the first run);
-        #: :func:`~repro.timing.ssta.run_ssta` reuses it when the rows repeat.
-        self.last_ssta: Optional[Tuple[np.ndarray, "SSTAResult"]] = None
+        # The state version the slot's loads and delays belong to (each
+        # ``None`` until first asked for at that version).
+        self._slot_version = -1
+        self._loads: Optional[np.ndarray] = None
+        self._delays: Optional[np.ndarray] = None
+        #: The view's last SSTA run (``None`` before the first);
+        #: :func:`~repro.timing.ssta.run_ssta` returns its result while
+        #: the state and the variation model are unchanged, or when the
+        #: rows it builds repeat.
+        self.last_ssta: Optional["LastSSTA"] = None
 
     @cached_property
     def fanin_gates(self) -> List[np.ndarray]:
@@ -409,8 +421,15 @@ class TimingView:
         """Current Vth flavours, dense order."""
         return [VTH_CLASSES[code] for code in self.state.vths.tolist()]
 
+    def _slot(self) -> None:
+        """Empty the slot when the state has moved on since it was filled."""
+        version = self.state.version
+        if version != self._slot_version:
+            self._slot_version = version
+            self._loads = self._delays = None
+
     def load_caps(self) -> np.ndarray:
-        """Current load capacitance of every gate's output net [F].
+        """Current load capacitance of every gate's output net [F], read-only.
 
         One ``np.bincount`` over the consumer-pin incidence: ``bincount``
         accumulates its weights sequentially in input order, and the pins
@@ -419,19 +438,24 @@ class TimingView:
         library's input-cap table (:meth:`LibraryTables.input_caps`), so
         a size off the grid takes :meth:`Cell.input_cap` and an
         out-of-range size raises the library's error as before.
+        Computed once per state version.
         """
-        state, pins = self.state, self._pin_gate
-        pin_caps = self._tables.input_caps(
-            self._pin_cells, state.size_codes[pins], state.sizes[pins]
-        )
-        # (An empty incidence makes bincount return integer zeros; adding
-        # the float wire loads yields float64 either way.)
-        loads = (
-            np.bincount(self._pin_net, weights=pin_caps, minlength=self.n_gates)
-            + self._wire_loads
-        )
-        loads[self.is_primary_output] += self._po_load
-        return loads
+        self._slot()
+        if self._loads is None:
+            state, pins = self.state, self._pin_gate
+            pin_caps = self._tables.input_caps(
+                self._pin_cells, state.size_codes[pins], state.sizes[pins]
+            )
+            # (An empty incidence makes bincount return integer zeros;
+            # adding the float wire loads yields float64 either way.)
+            loads = (
+                np.bincount(self._pin_net, weights=pin_caps, minlength=self.n_gates)
+                + self._wire_loads
+            )
+            loads[self.is_primary_output] += self._po_load
+            loads.flags.writeable = False
+            self._loads = loads
+        return self._loads
 
     def load_cap_of(self, index: int) -> float:
         """Current load capacitance of one gate's output net [F]."""
@@ -482,14 +506,20 @@ class TimingView:
         return intrinsic + slope * self.load_cap_of(index)
 
     def nominal_delays(self) -> np.ndarray:
-        """Nominal propagation delays of all gates [s].
+        """Nominal propagation delays of all gates [s], read-only.
 
         Elementwise ``intrinsic + slope * load`` over :meth:`load_caps`:
         the same operations as :meth:`nominal_delay_of`, entry by entry.
+        Computed once per state version.
         """
-        loads = self.load_caps()
-        intrinsic, slope = self.coefficients()
-        return intrinsic + slope * loads
+        self._slot()
+        if self._delays is None:
+            loads = self.load_caps()
+            intrinsic, slope = self.coefficients()
+            delays = intrinsic + slope * loads
+            delays.flags.writeable = False
+            self._delays = delays
+        return self._delays
 
     def primary_output_indices(self) -> np.ndarray:
         """Dense indices of gates driving primary outputs."""

@@ -1,6 +1,7 @@
 """Process-variation modeling (substrate S5)."""
 
 from .lognormal import (
+    LognormalSum,
     LognormalSummary,
     lognormal_mean,
     lognormal_params_from_moments,
@@ -15,6 +16,7 @@ from .spatial import DEFAULT_ENERGY, SpatialCorrelationModel, field_samples
 
 __all__ = [
     "DEFAULT_ENERGY",
+    "LognormalSum",
     "LognormalSummary",
     "SpatialCorrelationModel",
     "VariationModel",

@@ -11,7 +11,10 @@ code can be held to them bit for bit:
   :func:`leakage_gain` are the per-move helpers it called, and
   :class:`GateLeakageMemo` the dict memo behind the gains;
 * :func:`statistical_move_allowed` / :func:`statistical_move_cost` and
-  the deterministic pair are the strategies' per-move filter and cost.
+  the deterministic pair are the strategies' per-move filter and cost;
+* :func:`helpful_upsizes` and :func:`upsize_effect` are initial sizing's
+  per-gate loop (``minimize_delay``'s scoring before it was batched),
+  which writes and restores each gate's size to read its coefficients.
 
 Delay coefficients come from :func:`delay_coefficients`, the view's
 per-gate definition before the library tables: ``Cell``'s scalar
@@ -195,3 +198,40 @@ def collect_candidates(
         scored.append((gain / cost, move))
     scored.sort(key=lambda item: (-item[0], item[1].index, item[1].kind))
     return scored
+
+
+def upsize_effect(view: TimingView, index: int, new_size: float) -> float:
+    """Local circuit-delay change from resizing one gate (negative is better)."""
+    gate = view.gates[index]
+    old_size = gate.size
+    cell = view.cells[index]
+    load = view.load_cap_of(index)
+    intrinsic_old, slope_old = view.delay_coefficients(index)
+    try:
+        gate.size = new_size
+        intrinsic_new, slope_new = view.delay_coefficients(index)
+    finally:
+        gate.size = old_size
+    own = (intrinsic_new - intrinsic_old) + (slope_new - slope_old) * load
+    delta_cap = cell.input_cap(new_size) - cell.input_cap(old_size)
+    fanin_effect = 0.0
+    for f in view.fanin_gates[index]:
+        _, slope_f = view.delay_coefficients(int(f))
+        fanin_effect += slope_f * delta_cap
+    return own + fanin_effect
+
+
+def helpful_upsizes(view: TimingView, sta, window_fraction: float = 0.02) -> List[Tuple[float, int, float]]:
+    """(effect, gate index, new size) for near-critical helpful upsizes."""
+    window = sta.circuit_delay * window_fraction
+    out: List[Tuple[float, int, float]] = []
+    for index in np.flatnonzero(sta.slacks <= window):
+        gate = view.gates[int(index)]
+        bigger = view.library.next_size_up(gate.size)
+        if bigger is None:
+            continue
+        effect = upsize_effect(view, int(index), bigger)
+        if effect < 0.0:
+            out.append((effect, int(index), bigger))
+    out.sort()
+    return out

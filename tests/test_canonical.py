@@ -156,3 +156,63 @@ class TestDegenerateEdges:
         assert m.mean == 1.0
         assert m.sigma == 0.0
         assert not math.isnan(m.mean)
+
+
+def _rows_dotted_one_by_one(a, b):
+    return np.array([a[i] @ b[i] for i in range(a.shape[0])])
+
+
+class TestVecdot:
+    """``np.vecdot`` (the wave kernel's row-wise dot product) gives, row
+    for row, the bits of the 1-D ``a[i] @ b[i]`` the scalar fold used."""
+
+    @staticmethod
+    def assert_rowwise_bitwise(a, b):
+        got = np.vecdot(a, b)
+        want = _rows_dotted_one_by_one(a, b)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 18, 64])
+    def test_random_rows(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((40, k)) * 10.0 ** rng.integers(-12, 12, (40, 1))
+        b = rng.standard_normal((40, k))
+        self.assert_rowwise_bitwise(a, b)
+        self.assert_rowwise_bitwise(a, a)
+
+    @pytest.mark.parametrize("k", [1, 18, 64])
+    def test_strided_sensitivity_view(self, k):
+        # The kernel dots the sensitivity columns of packed rows.
+        rng = np.random.default_rng(100 + k)
+        rows = rng.standard_normal((26, 3 + k))
+        sens = rows[:, 3:]
+        self.assert_rowwise_bitwise(sens, sens)
+        self.assert_rowwise_bitwise(sens[::2], sens[1::2])
+
+    @pytest.mark.parametrize("k", [1, 18, 64])
+    def test_zero_rows(self, k):
+        a = np.zeros((3, k))
+        a[1] = -0.0
+        b = np.ones((3, k))
+        b[2] = -1.0
+        self.assert_rowwise_bitwise(a, b)
+        self.assert_rowwise_bitwise(a, a)
+
+    @pytest.mark.parametrize("k", [1, 18, 64])
+    def test_subnormal_rows(self, k):
+        rng = np.random.default_rng(200 + k)
+        tiny = np.finfo(float).smallest_subnormal
+        a = tiny * rng.integers(1, 1000, (6, k)).astype(float)
+        b = rng.standard_normal((6, k))
+        self.assert_rowwise_bitwise(a, b)
+        self.assert_rowwise_bitwise(a, a)
+        self.assert_rowwise_bitwise(a, np.full((6, k), 1e300))
+
+    @pytest.mark.parametrize("k", [1, 18, 64])
+    def test_mixed_sign_rows(self, k):
+        rng = np.random.default_rng(300 + k)
+        a = rng.standard_normal((30, k))
+        a *= np.where(rng.random((30, k)) < 0.5, -1.0, 1.0) * 10.0 ** rng.integers(-8, 8, (30, k))
+        b = -a[::-1].copy()
+        self.assert_rowwise_bitwise(a, b)
+        self.assert_rowwise_bitwise(a, a)

@@ -4,7 +4,9 @@
 rows and ``gate_leakage_currents`` evaluates every gate in one batched
 pass.  ``leakage_reference`` keeps the blocked double sum and the
 per-gate ``Cell.leakage`` loop.  The currents must match bit for bit;
-the moments keep the mean bit for bit and the spread to rounding.
+the moments keep the mean bit for bit and the spread to rounding.  A
+``LognormalSum`` prepared once per model must give, at every state, the
+bits of the grouped sum regrouping its rows on each call.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ import numpy as np
 import pytest
 
 from repro.circuit import Circuit, build_variation_model, make_benchmark
-from repro.errors import LibraryError
+from repro.errors import LibraryError, VariationError
 from repro.power import gate_leakage_currents
 from repro.power.probability import signal_probabilities
-from repro.power.statistical import gate_log_leakage_terms
+from repro.power.statistical import (
+    analyze_statistical_leakage,
+    gate_log_leakage_terms,
+    leakage_lognormal_sum,
+)
 from repro.tech import VthClass, fast_corner, slow_corner
 from repro.variation import VariationSpec, sum_of_lognormals
-from repro.variation.lognormal import loading_groups
+from repro.variation.lognormal import LognormalSum, loading_groups
 
 from . import leakage_reference as ref
 
@@ -149,6 +155,76 @@ class TestGroupedMoments:
         first, inverse = loading_groups(np.zeros((3, 0)))
         assert first.tolist() == [0]
         assert inverse.tolist() == [0, 0, 0]
+
+
+SPEC_VARIANTS = ("default", "fully_correlated", "without_correlation", "zero_variance")
+
+
+def _spec_variant(spec, variant):
+    if variant == "zero_variance":
+        return VariationSpec(sigma_l_total=0.0, sigma_vth_total=0.0)
+    return spec if variant == "default" else getattr(spec, variant)()
+
+
+def assert_same_summary(actual, expected) -> None:
+    for field in ("mean", "std", "mu", "sigma"):
+        got, want = getattr(actual, field), getattr(expected, field)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), field
+
+
+class TestPreparedSum:
+    @pytest.mark.parametrize("variant", SPEC_VARIANTS)
+    @pytest.mark.parametrize("name", CIRCUITS)
+    @pytest.mark.parametrize("derate", [True, False], ids=["derated", "flat_rdf"])
+    def test_one_prepared_sum_serves_every_state(self, name, variant, derate, lib, spec):
+        circuit = make_benchmark(name, lib)
+        varmodel = build_variation_model(circuit, _spec_variant(spec, variant))
+        probs = signal_probabilities(circuit)
+        prepared = leakage_lognormal_sum(circuit, varmodel)
+        area = None if derate else 1.0
+        for seed in range(4):
+            randomize(circuit, seed)
+            log_means, loadings, indep = gate_log_leakage_terms(
+                circuit, varmodel, probs, relative_area=area
+            )
+            expected = ref.grouped_sum_of_lognormals(log_means, loadings, indep)
+            assert_same_summary(prepared.summary(log_means, indep), expected)
+            assert_same_summary(sum_of_lognormals(log_means, loadings, indep), expected)
+            assert prepared.n_groups == loading_groups(loadings)[0].shape[0]
+            stat = analyze_statistical_leakage(
+                circuit, varmodel, probs, derate_rdf_with_size=derate,
+                lognormal_sum=prepared,
+            )
+            assert_same_summary(
+                stat.summary,
+                analyze_statistical_leakage(
+                    circuit, varmodel, probs, derate_rdf_with_size=derate
+                ).summary,
+            )
+
+    def test_single_gate(self, lib, spec):
+        c = Circuit("one", lib)
+        c.add_input("x")
+        c.add_gate("o", "NAND2", ["x", "x"])
+        c.add_output("o")
+        varmodel = build_variation_model(c, spec)
+        prepared = leakage_lognormal_sum(c, varmodel)
+        for seed in range(N_STATES):
+            randomize(c, seed)
+            log_means, loadings, indep = gate_log_leakage_terms(c, varmodel)
+            assert_same_summary(
+                prepared.summary(log_means, indep),
+                ref.grouped_sum_of_lognormals(log_means, loadings, indep),
+            )
+
+    def test_shapes_are_checked(self):
+        prepared = LognormalSum(np.zeros((3, 2)))
+        with pytest.raises(VariationError, match="shape mismatch"):
+            prepared.summary(np.zeros(2), np.zeros(2))
+        with pytest.raises(VariationError, match="shape mismatch"):
+            prepared.summary(np.zeros(3), np.zeros(2))
+        with pytest.raises(VariationError, match="empty"):
+            sum_of_lognormals(np.zeros(0), np.zeros((0, 2)), np.zeros(0))
 
 
 class TestBatchedCurrents:
