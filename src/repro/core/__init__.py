@@ -4,7 +4,7 @@ from .annealing import AnnealConfig, optimize_annealing
 from .config import OptimizerConfig
 from .deterministic import DeterministicStrategy, optimize_deterministic
 from .engine import ConstraintStrategy, GreedyEngine
-from .metrics import snapshot_metrics
+from .metrics import MetricModels, metric_models, snapshot_metrics
 from .moves import (
     Move,
     apply_move,
@@ -23,6 +23,7 @@ __all__ = [
     "ConstraintStrategy",
     "DeterministicStrategy",
     "GreedyEngine",
+    "MetricModels",
     "MetricsSnapshot",
     "Move",
     "OptimizationResult",
@@ -33,6 +34,7 @@ __all__ = [
     "candidate_moves",
     "fanin_cap_delta",
     "leakage_gain",
+    "metric_models",
     "minimize_delay",
     "optimize_annealing",
     "optimize_deterministic",

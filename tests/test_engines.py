@@ -331,7 +331,8 @@ class TestResultSurface:
         def strategy(engine):
             return StatisticalStrategy(
                 view, varmodel_c432, target,
-                OptimizerConfig(timing_engine=engine), leakage=None,
+                OptimizerConfig(timing_engine=engine),
+                leakage=None, lognormal_sum=None,
             )
 
         y_clark = strategy("clark").evaluate_yield()
@@ -364,7 +365,8 @@ class TestOptimizerYieldPath:
         from repro.core.statistical import StatisticalStrategy
 
         return StatisticalStrategy(
-            view, varmodel, target, OptimizerConfig(**config), leakage=None
+            view, varmodel, target, OptimizerConfig(**config),
+            leakage=None, lognormal_sum=None,
         )
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OptimizerConfig, snapshot_metrics
+from repro.core import OptimizerConfig, metric_models, snapshot_metrics
 from repro.core.result import MetricsSnapshot, OptimizationResult, PassRecord
 from repro.power import analyze_leakage, signal_probabilities
 from repro.tech import VthClass, slow_corner
@@ -15,7 +15,8 @@ def snapshot(c432, varmodel_c432, spec):
     config = OptimizerConfig()
     corner = slow_corner(spec, config.corner_sigma)
     target = 1.2 * run_sta(view).circuit_delay
-    return snapshot_metrics(view, varmodel_c432, target, corner, config), view, target
+    models = metric_models(c432, varmodel_c432)
+    return snapshot_metrics(view, models, target, corner, config), view, target
 
 
 class TestSnapshotMetrics:
@@ -44,10 +45,28 @@ class TestSnapshotMetrics:
         config = OptimizerConfig()
         corner = slow_corner(spec, config.corner_sigma)
         snap = snapshot_metrics(
-            view, varmodel_c432, 1e-8, corner, config
+            view, metric_models(c432, varmodel_c432), 1e-8, corner, config
         )
         assert snap.high_vth_fraction == 1.0
         assert snap.total_size == pytest.approx(2.0 * c432.n_gates)
+
+
+    def test_models_follow_the_given_probabilities(self, c432, varmodel_c432, spec):
+        from repro.power import analyze_dynamic_power, switching_activities
+
+        probs = signal_probabilities(c432, {name: 0.2 for name in c432.inputs})
+        models = metric_models(c432, varmodel_c432, probs)
+        assert models.varmodel is varmodel_c432
+        view = TimingView(c432)
+        config = OptimizerConfig()
+        corner = slow_corner(spec, config.corner_sigma)
+        snap = snapshot_metrics(view, models, 1e-8, corner, config)
+        assert snap.nominal_leakage == analyze_leakage(c432, probs=probs).total_power
+        assert snap.nominal_leakage != analyze_leakage(c432).total_power
+        dynamic = analyze_dynamic_power(
+            view, activities=switching_activities(c432, probs)
+        )
+        assert snap.dynamic_power == dynamic.total
 
 
 class TestOptimizationResult:

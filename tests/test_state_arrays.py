@@ -28,6 +28,7 @@ from repro.power import (
     GateLeakage,
     gate_input_probabilities,
     gate_leakage_currents,
+    leakage_lognormal_sum,
     pin_probabilities,
     signal_probabilities,
 )
@@ -210,7 +211,8 @@ def _leakage(circuit):
 def _strategies(view, varmodel, spec, leakage, config):
     """Both flows' strategies at a target 10% above the current delay."""
     stat = StatisticalStrategy(
-        view, varmodel, 1.1 * run_sta(view).circuit_delay, config, leakage
+        view, varmodel, 1.1 * run_sta(view).circuit_delay, config, leakage,
+        leakage_lognormal_sum(view.circuit, varmodel),
     )
     corner = slow_corner(spec, config.corner_sigma)
     det = DeterministicStrategy(
