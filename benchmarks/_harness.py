@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -59,3 +60,23 @@ def report_json(exp_id: str, payload: dict) -> None:
         RESULTS_DIR / f"{exp_id}.json",
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
     )
+
+
+def source_provenance(src: Path) -> dict:
+    """``src/`` line count and git sha of the source tree ``src`` (``-dirty``
+    when that tree has uncommitted changes, ``unknown`` outside a git
+    checkout)."""
+    lines = sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=src, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        if git("status", "--porcelain", "--", "."):
+            sha += "-dirty"
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {"src_lines": lines, "git_sha": sha}

@@ -21,11 +21,10 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import subprocess
 from collections import defaultdict
 from pathlib import Path
 
-from _harness import report, run_once
+from _harness import report, run_once, source_provenance
 
 import repro
 from repro.analysis import format_table
@@ -64,27 +63,6 @@ def session_counters(tele) -> dict:
                 sample.value
             )
     return counters
-
-
-def source_provenance() -> dict:
-    """``src/`` line count and git sha of the source ``repro`` was imported
-    from (``-dirty`` when that tree has uncommitted changes, ``unknown``
-    outside a git checkout)."""
-    src = Path(repro.__file__).resolve().parent.parent
-    lines = sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
-
-    def git(*args: str) -> str:
-        return subprocess.run(
-            ["git", *args], cwd=src, capture_output=True, text=True, check=True
-        ).stdout.strip()
-
-    try:
-        sha = git("rev-parse", "HEAD")
-        if git("status", "--porcelain", "--", "."):
-            sha += "-dirty"
-    except (OSError, subprocess.CalledProcessError):
-        sha = "unknown"
-    return {"src_lines": lines, "git_sha": sha}
 
 
 def measure(name: str, config: OptimizerConfig) -> dict:
@@ -135,7 +113,7 @@ def run_experiment():
             timespec="seconds"
         ),
         "cpu_count": os.cpu_count(),
-        **source_provenance(),
+        **source_provenance(Path(repro.__file__).resolve().parent.parent),
     }
     rows = [{**measure(name, config), **stamp} for name in CIRCUITS]
     append_rows(rows)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from ..circuit.netlist import Circuit
 from ..errors import PowerError, TimingError
@@ -145,8 +145,10 @@ def analytic_parametric_yield(
 
     z_t = _z_score(target_delay, delay.mean, delay.sigma)
     z_l = _z_score(math.log(leakage_cap), mu_l, sigma_l)
-    timing_yield = float(stats.norm.cdf(z_t))
-    leakage_yield = float(stats.norm.cdf(z_l))
+    timing_yield = float(ndtr(z_t))
+    leakage_yield = float(ndtr(z_l))
+    from scipy import stats
+
     joint = float(
         stats.multivariate_normal(
             mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]]

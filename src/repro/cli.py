@@ -47,22 +47,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .analysis import format_table, microwatts, percent, picoseconds
 from .analysis.experiments import prepare
 from .atomicio import atomic_write_json, atomic_write_text
-from .campaign import (
-    ArtifactStore,
-    CampaignRunner,
-    CampaignSpec,
-    EventLedger,
-    complete_task_keys,
-    expand,
-    resolve_spec,
-    task_durations,
-    task_states,
-)
 from .circuit import (
     benchmark_names,
     load_bench,
@@ -78,23 +67,6 @@ from .core import (
 )
 from .engines import DEFAULT_BINS, ENGINE_NAMES, get_engine
 from .errors import EngineError, ReproError
-from .lint import (
-    PASS_NAMES,
-    REGISTRY,
-    LintContext,
-    LintOptions,
-    LintReport,
-    apply_baseline,
-    dead_entries,
-    load_baseline,
-    prune_baseline,
-    render_json,
-    render_sarif,
-    render_text,
-    run_lint,
-    run_lint_sharded,
-    write_baseline,
-)
 from .power import (
     analyze_dynamic_power,
     analyze_leakage,
@@ -123,6 +95,9 @@ from .timing import (
 )
 from .units import ps
 from .variation import default_variation
+
+if TYPE_CHECKING:
+    from .campaign import CampaignSpec
 
 
 def _resolve_circuit(name: str, tech_name: str):
@@ -163,6 +138,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     rows = [[key, value] for key, value in stats.items() if key != "cells"]
     rows += [[f"  {cell}", count] for cell, count in stats["cells"].items()]
     print(format_table(["property", "value"], rows, title=f"{circuit.name}"))
+    from .lint import LintContext, run_lint
+
     report = run_lint(LintContext(circuit=circuit), passes=("circuit",))
     if report.findings:
         print(
@@ -359,6 +336,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
     if args.circuit is None and not args.self_lint:
         raise ReproError("lint needs a circuit, --self, or both")
+    from .lint import (
+        LintContext,
+        LintOptions,
+        apply_baseline,
+        load_baseline,
+        render_json,
+        render_sarif,
+        render_text,
+        run_lint,
+        run_lint_sharded,
+        write_baseline,
+    )
+
     options = LintOptions(
         max_fanout=args.max_fanout,
         reconvergence_depth=args.reconvergence_depth,
@@ -417,15 +407,20 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code(strict=args.strict)
 
 
-def _self_lint_report() -> LintReport:
-    """Full self-lint over the installed package (all source passes)."""
-    return run_lint(LintContext(source_root=Path(__file__).parent))
-
-
 def _cmd_lint_baseline(args: argparse.Namespace) -> int:
+    from .lint import (
+        REGISTRY,
+        LintContext,
+        dead_entries,
+        load_baseline,
+        prune_baseline,
+        run_lint,
+    )
+
     baseline_path = Path(args.baseline or "lint-baseline.json")
     source_root = Path(__file__).parent
-    report = _self_lint_report()
+    # Full self-lint over the installed package (all source passes).
+    report = run_lint(LintContext(source_root=source_root))
     if args.baseline_action == "prune":
         kept, removed = prune_baseline(
             baseline_path, report, REGISTRY, source_root
@@ -453,6 +448,8 @@ def _cmd_lint_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_lint_rules(args: argparse.Namespace) -> int:
     """List every registered rule, grouped by pass (text or JSON)."""
+    from .lint import PASS_NAMES, REGISTRY
+
     if args.format == "json":
         payload = [
             {
@@ -481,6 +478,8 @@ def _cmd_lint_rules(args: argparse.Namespace) -> int:
 
 
 def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
+    from .campaign import resolve_spec
+
     spec = resolve_spec(args.spec)
     benchmarks = getattr(args, "benchmarks", None)
     if benchmarks:
@@ -492,6 +491,8 @@ def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
 
 
 def _campaign_execute(args: argparse.Namespace, resume: bool) -> int:
+    from .campaign import ArtifactStore, CampaignRunner, EventLedger
+
     spec = _campaign_spec(args)
     store = ArtifactStore(args.store)
     ledger = EventLedger(store.ledger_path(spec.name))
@@ -543,6 +544,15 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    from .campaign import (
+        ArtifactStore,
+        EventLedger,
+        complete_task_keys,
+        expand,
+        task_durations,
+        task_states,
+    )
+
     spec = _campaign_spec(args)
     store = ArtifactStore(args.store)
     keys = complete_task_keys(spec)
@@ -580,6 +590,8 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_gc(args: argparse.Namespace) -> int:
+    from .campaign import ArtifactStore, complete_task_keys, resolve_spec
+
     store = ArtifactStore(args.store)
     live = set()
     for ref in args.specs:
@@ -597,6 +609,8 @@ def _cmd_campaign_gc(args: argparse.Namespace) -> int:
 
 def _campaign_status_follow(args: argparse.Namespace) -> int:
     """Tail the campaign ledger, replaying history then following."""
+    from .campaign import ArtifactStore, EventLedger
+
     spec = _campaign_spec(args)
     store = ArtifactStore(args.store)
     ledger = EventLedger(store.ledger_path(spec.name))
@@ -782,6 +796,7 @@ def _print_job_record(record: dict) -> None:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from .campaign import resolve_spec
     from .service import spec_to_wire
 
     spec = resolve_spec(args.spec)
@@ -848,6 +863,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
+    from .lint import PASS_NAMES
     from .provenance import package_version
 
     version = package_version()

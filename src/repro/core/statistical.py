@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from ..circuit.netlist import Circuit
 from ..engines import get_engine
@@ -88,11 +89,9 @@ class StatisticalStrategy(ConstraintStrategy):
         self.config = config
         self.leakage = leakage
         self.lognormal_sum = lognormal_sum
-        from scipy import stats
-
         #: Standard-normal quantile of the yield target (the config is
         #: frozen, so once per strategy).
-        self._z = float(stats.norm.ppf(config.yield_target))
+        self._z = float(ndtri(config.yield_target))
 
     def analyze(self) -> _StatState:
         # The yield constraint P(D <= Tmax) >= eta binds, in the mean

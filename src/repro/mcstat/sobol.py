@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
 
 from ..parallel.plan import SampleShard
 from ..variation.model import VariationModel
@@ -38,7 +38,7 @@ from .base import (
 )
 
 #: Clamp on the scrambled uniforms before the inverse-normal map.  One
-#: double-precision ulp away from {0, 1} keeps ``norm.ppf`` finite
+#: double-precision ulp away from {0, 1} keeps ``ndtri`` finite
 #: (|z| < 8.3) without measurably perturbing the point set.
 _UNIFORM_CLIP = float(np.finfo(np.float64).eps)
 
@@ -57,11 +57,13 @@ def _sobol_normals(
     n: int, dim: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``n`` standard-normal rows from one scrambled Sobol replicate."""
+    from scipy.stats import qmc
+
     engine = qmc.Sobol(d=dim, scramble=True, seed=rng)
     m = max(0, math.ceil(math.log2(n)))
     uniforms = engine.random_base2(m)[:n]
     uniforms = np.clip(uniforms, _UNIFORM_CLIP, 1.0 - _UNIFORM_CLIP)
-    return np.asarray(norm.ppf(uniforms))
+    return np.asarray(ndtri(uniforms))
 
 
 @dataclass(frozen=True)

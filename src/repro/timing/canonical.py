@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from ..errors import TimingError
 from .clark import max_moments, norm_cdf
@@ -82,9 +83,7 @@ class Canonical:
         """The q-quantile (0 < q < 1)."""
         if not 0.0 < q < 1.0:
             raise TimingError(f"quantile must be in (0,1), got {q}")
-        from scipy import stats
-
-        return self.mean + self.sigma * float(stats.norm.ppf(q))
+        return self.mean + self.sigma * float(ndtri(q))
 
     # -- arithmetic -----------------------------------------------------------------
 

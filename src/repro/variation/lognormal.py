@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from ..errors import VariationError
 
@@ -42,7 +42,7 @@ def lognormal_percentile(mu: float, sigma: float, q: float) -> float:
     """The ``q``-quantile (0 < q < 1) of ``exp(N(mu, sigma^2))``."""
     if not 0.0 < q < 1.0:
         raise VariationError(f"quantile must be in (0,1), got {q}")
-    return math.exp(mu + sigma * stats.norm.ppf(q))
+    return math.exp(mu + sigma * ndtri(q))
 
 
 def lognormal_params_from_moments(mean: float, variance: float) -> Tuple[float, float]:
@@ -98,7 +98,7 @@ class LognormalSummary:
             return 0.0
         if self.sigma == 0.0:  # lint: ignore[RPR402] exact zero marks a deterministic sum, not a tolerance test
             return 1.0 if x >= math.exp(self.mu) else 0.0
-        return float(stats.norm.cdf((math.log(x) - self.mu) / self.sigma))
+        return float(ndtr((math.log(x) - self.mu) / self.sigma))
 
 
 def loading_groups(global_loadings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
