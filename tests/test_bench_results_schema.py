@@ -28,7 +28,15 @@ the machine-readable records this repo commits —
   per-span self times and SSTA counters, the flow's outcome and the
   provenance of the measured source, and every recorded source version
   must cover every circuit of the record: the full ISCAS85 suite, c432
-  to c7552, from the sources that first recorded it on.
+  to c7552, from the sources that first recorded it on;
+* **BENCH_startup.json** (the root-level cold-start trajectory that
+  ``benchmarks/bench_startup.py`` appends to): every row must carry the
+  entry point, its wall-time spread over at least five fresh
+  interpreters, peak RSS, the modules imported and whether
+  ``scipy.stats`` was among them, and the provenance of a committed
+  source; every recording covers every entry point, and no entry point
+  of a source recorded after the ``scipy.special`` split loads
+  ``scipy.stats``.
 
 A missing artifact is a failure, not a skip: a claim the docs make
 about a record nobody committed is an unbacked claim.  Regenerating the
@@ -417,3 +425,65 @@ class TestBenchOptimizeSchema:
                 assert names == BENCH_OPTIMIZE_FIVE_CIRCUITS, sha
             else:
                 assert names == BENCH_OPTIMIZE_CIRCUITS, sha
+
+
+BENCH_STARTUP_ENTRIES = {
+    "repro --version",
+    "repro optimize c432 --flow statistical",
+    "repro analyze c432",
+    "perfbench optimize set-up",
+    "perfbench analyze set-up",
+}
+BENCH_STARTUP_ROW_KEYS = {
+    "entry",
+    "argv",
+    "runs",
+    "median_seconds",
+    "min_seconds",
+    "max_seconds",
+    "peak_rss_mb",
+    "modules_loaded",
+    "scipy_stats_loaded",
+    "git_sha",
+    "src_lines",
+    "cpu_count",
+    "recorded_at",
+}
+
+#: Sources recorded before the flows took their normal quantiles from
+#: ``scipy.special``: every entry point loaded ``scipy.stats``.
+BENCH_STARTUP_PRE_SPLIT_SOURCES = {"66ddc23050bc9678366e36182e43034c5d2c6552"}
+
+
+@pytest.fixture(scope="module")
+def bench_startup():
+    return load("BENCH_startup.json", ROOT)
+
+
+class TestBenchStartupSchema:
+    def test_every_row_has_the_full_record(self, bench_startup):
+        rows = bench_startup["rows"]
+        assert rows
+        for row in rows:
+            key = (row.get("git_sha"), row.get("entry"))
+            assert set(row) == BENCH_STARTUP_ROW_KEYS, key
+            assert row["entry"] in BENCH_STARTUP_ENTRIES, key
+            assert row["runs"] >= 5, key
+            assert 0.0 < row["min_seconds"] <= row["median_seconds"] <= row["max_seconds"], key
+            assert row["peak_rss_mb"] > 0.0 and row["modules_loaded"] > 0, key
+            assert isinstance(row["scipy_stats_loaded"], bool), key
+            assert row["src_lines"] > 0 and row["cpu_count"] >= 1, key
+            # Committed sources only: a dirty tree's sha names no code.
+            assert not row["git_sha"].endswith("-dirty"), key
+
+    def test_every_recording_covers_every_entry(self, bench_startup):
+        entries = defaultdict(list)
+        for row in bench_startup["rows"]:
+            entries[row["git_sha"], row["recorded_at"]].append(row["entry"])
+        for key, names in entries.items():
+            assert sorted(names) == sorted(BENCH_STARTUP_ENTRIES), key
+
+    def test_no_entry_loads_scipy_stats_after_the_split(self, bench_startup):
+        for row in bench_startup["rows"]:
+            if row["git_sha"] not in BENCH_STARTUP_PRE_SPLIT_SOURCES:
+                assert not row["scipy_stats_loaded"], (row["git_sha"], row["entry"])
