@@ -15,9 +15,9 @@ goes through them in turn, so a before/after pair shares the host's
 load.  One row per (checkout, entry) is appended to
 ``BENCH_startup.json`` at the root of this repository: the entry and
 its argv, the run count, the median, fastest and slowest wall seconds,
-the children's peak RSS, the modules imported and whether
-``scipy.stats`` was among them (both from one more run under
-``python -X importtime``, not timed), and where it was measured: git
+the children's peak RSS, the modules imported and whether any
+``scipy`` module, and ``scipy.stats`` in particular, was among them
+(from one more run under ``python -X importtime``, not timed), and where it was measured: git
 sha of the checkout's ``src/`` (``-dirty`` with uncommitted changes),
 ``src/`` lines, CPU count and UTC time.  BLAS runs on one thread in
 every child.
@@ -98,6 +98,13 @@ def imported_modules(root: Path, argv) -> list:
     ]
 
 
+def loads(modules, package: str) -> bool:
+    """Whether ``package`` or one of its submodules is in ``modules``."""
+    # SciPy's lazy submodule access can leave the package's own line out
+    # of -X importtime; its submodules show.
+    return any(m == package or m.startswith(package + ".") for m in modules)
+
+
 def measure(roots) -> list:
     times = {(r, e): [] for r in roots for e, _ in ENTRIES}
     rss = {(r, e): [] for r in roots for e, _ in ENTRIES}
@@ -126,12 +133,8 @@ def measure(roots) -> list:
                 "max_seconds": max(t),
                 "peak_rss_mb": max(rss[root, entry]),
                 "modules_loaded": len(modules),
-                # SciPy's lazy submodule access can leave the package's
-                # own line out of -X importtime; its submodules show.
-                "scipy_stats_loaded": any(
-                    m == "scipy.stats" or m.startswith("scipy.stats.")
-                    for m in modules
-                ),
+                "scipy_loaded": loads(modules, "scipy"),
+                "scipy_stats_loaded": loads(modules, "scipy.stats"),
                 **stamp,
             })
     return rows
@@ -158,6 +161,7 @@ def main(argv=None) -> int:
               f"median {row['median_seconds']:.2f} s  "
               f"[{row['min_seconds']:.2f}, {row['max_seconds']:.2f}]  "
               f"{row['peak_rss_mb']:.1f} MB  {row['modules_loaded']} modules  "
+              f"scipy {'yes' if row['scipy_loaded'] else 'no'}  "
               f"scipy.stats {'yes' if row['scipy_stats_loaded'] else 'no'}")
     return 0
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..circuit.netlist import Circuit
 from ..errors import PowerError, TimingError
+from ..normal import ndtr
 from ..power.mc import run_monte_carlo_leakage
 from ..power.statistical import gate_log_leakage_terms
 from ..timing.mc import run_monte_carlo_sta
@@ -145,8 +145,8 @@ def analytic_parametric_yield(
 
     z_t = _z_score(target_delay, delay.mean, delay.sigma)
     z_l = _z_score(math.log(leakage_cap), mu_l, sigma_l)
-    timing_yield = float(ndtr(z_t))
-    leakage_yield = float(ndtr(z_l))
+    timing_yield = ndtr(z_t)
+    leakage_yield = ndtr(z_l)
     from scipy import stats
 
     joint = float(

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..circuit.netlist import Circuit
 from ..engines import get_engine
+from ..normal import ndtri
 from ..power.leakage import GateLeakage
 from ..power.statistical import analyze_statistical_leakage
 from ..tech.corners import slow_corner
@@ -91,7 +91,7 @@ class StatisticalStrategy(ConstraintStrategy):
         self.lognormal_sum = lognormal_sum
         #: Standard-normal quantile of the yield target (the config is
         #: frozen, so once per strategy).
-        self._z = float(ndtri(config.yield_target))
+        self._z = ndtri(config.yield_target)
 
     def analyze(self) -> _StatState:
         # The yield constraint P(D <= Tmax) >= eta binds, in the mean

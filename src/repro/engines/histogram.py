@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..circuit.netlist import Circuit
 from ..errors import EngineError
@@ -72,6 +71,8 @@ def _gaussian_lattice_pmf(
         k = int(np.clip(round(mean / w) - k0, 0, n_bins - 1))
         pmf[k] = 1.0
         return pmf
+    from scipy.special import ndtr
+
     edges = (np.arange(n_bins + 1) + (k0 - 0.5)) * w
     cdf = np.asarray(ndtr((edges - mean) / sigma))
     pmf = np.diff(cdf)

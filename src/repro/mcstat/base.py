@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import EstimatorError
+from ..normal import ndtr
 from ..parallel.plan import SampleShard, adaptive_shard_size
 from ..variation.model import VariationModel
 
@@ -80,7 +80,7 @@ class DelayMoments:
         s = self.total_sigma
         if s <= 0.0:
             return 1.0 if target_delay >= self.mean else 0.0
-        return float(ndtr((target_delay - self.mean) / s))
+        return ndtr((target_delay - self.mean) / s)
 
     def conditional_yield(
         self, z: np.ndarray, target_delay: float
@@ -94,7 +94,9 @@ class DelayMoments:
         """
         slack = target_delay - self.mean - z @ self.global_sens
         if self.indep_sigma > 0.0:
-            return np.asarray(ndtr(slack / self.indep_sigma))
+            from scipy import special
+
+            return np.asarray(special.ndtr(slack / self.indep_sigma))
         return (slack >= 0.0).astype(float)
 
 

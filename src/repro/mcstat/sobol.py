@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..parallel.plan import SampleShard
 from ..variation.model import VariationModel
@@ -57,6 +56,7 @@ def _sobol_normals(
     n: int, dim: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``n`` standard-normal rows from one scrambled Sobol replicate."""
+    from scipy.special import ndtri
     from scipy.stats import qmc
 
     engine = qmc.Sobol(d=dim, scramble=True, seed=rng)

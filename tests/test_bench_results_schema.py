@@ -443,6 +443,7 @@ BENCH_STARTUP_ROW_KEYS = {
     "max_seconds",
     "peak_rss_mb",
     "modules_loaded",
+    "scipy_loaded",
     "scipy_stats_loaded",
     "git_sha",
     "src_lines",
@@ -453,6 +454,18 @@ BENCH_STARTUP_ROW_KEYS = {
 #: Sources recorded before the flows took their normal quantiles from
 #: ``scipy.special``: every entry point loaded ``scipy.stats``.
 BENCH_STARTUP_PRE_SPLIT_SOURCES = {"66ddc23050bc9678366e36182e43034c5d2c6552"}
+
+#: Sources recorded before rows carried ``scipy_loaded``.
+BENCH_STARTUP_NO_SCIPY_FIELD_SOURCES = BENCH_STARTUP_PRE_SPLIT_SOURCES | {
+    "3a667d29419a3a0700e84ff0c10ae99c3c79b52f",
+    "4b8843f1e1c80124b26b09aca8cb8ac6b6a7da47",
+}
+
+#: Sources recorded before the flows took scalar normal quantiles and
+#: CDFs from ``repro.normal``: every entry point loaded ``scipy.special``.
+BENCH_STARTUP_PRE_PORT_SOURCES = BENCH_STARTUP_NO_SCIPY_FIELD_SOURCES | {
+    "6e3519898ff0f462c820a800b35cb3ec281ddc90",
+}
 
 
 @pytest.fixture(scope="module")
@@ -466,7 +479,12 @@ class TestBenchStartupSchema:
         assert rows
         for row in rows:
             key = (row.get("git_sha"), row.get("entry"))
-            assert set(row) == BENCH_STARTUP_ROW_KEYS, key
+            keys = BENCH_STARTUP_ROW_KEYS
+            if row.get("git_sha") in BENCH_STARTUP_NO_SCIPY_FIELD_SOURCES:
+                keys = keys - {"scipy_loaded"}
+            else:
+                assert isinstance(row.get("scipy_loaded"), bool), key
+            assert set(row) == keys, key
             assert row["entry"] in BENCH_STARTUP_ENTRIES, key
             assert row["runs"] >= 5, key
             assert 0.0 < row["min_seconds"] <= row["median_seconds"] <= row["max_seconds"], key
@@ -487,3 +505,8 @@ class TestBenchStartupSchema:
         for row in bench_startup["rows"]:
             if row["git_sha"] not in BENCH_STARTUP_PRE_SPLIT_SOURCES:
                 assert not row["scipy_stats_loaded"], (row["git_sha"], row["entry"])
+
+    def test_no_entry_loads_scipy_after_the_port(self, bench_startup):
+        for row in bench_startup["rows"]:
+            if row["git_sha"] not in BENCH_STARTUP_PRE_PORT_SOURCES:
+                assert row["scipy_loaded"] is False, (row["git_sha"], row["entry"])

@@ -1,17 +1,23 @@
 """The flows' import boundary, and the normal quantile/CDF bits it relies on.
 
 ``repro optimize``, ``repro analyze`` and the library calls behind them
-load only the modules those flows run: never ``scipy.stats``, the
-campaign engine, the job service or the lint passes.  Each boundary case
-runs in a fresh interpreter, because an import made by any earlier test
-would hide one here.  The library case also checks that the flows import
-nothing after a first run: a run on a larger circuit that still imported
-a module would pay for it inside its own wall time.
+load only the modules those flows run: never SciPy, the campaign engine,
+the job service or the lint passes.  Each boundary case runs in a fresh
+interpreter, because an import made by any earlier test would hide one
+here.  The library case also checks that the flows import nothing after
+a first run: a run on a larger circuit that still imported a module
+would pay for it inside its own wall time.  It builds that circuit
+before taking its snapshot, because the clone builder's seeded generator
+loads ``numpy.random``, which no flow needs.
 
-The flows take normal quantiles and CDFs from ``scipy.special.ndtri`` and
-``ndtr``, which SciPy's ``norm.ppf`` and ``norm.cdf`` wrap.  The bit
-cases hold the two to each other, so a SciPy release that broke the
-identity fails here rather than in a golden.
+The flows take scalar normal quantiles and CDFs from
+:func:`repro.normal.ndtri` and :func:`~repro.normal.ndtr`, a port of the
+code ``scipy.special.ndtri``/``ndtr`` compile; the MC estimators and the
+histogram engine call those ufuncs on arrays.  SciPy's ``norm.ppf`` and
+``norm.cdf`` wrap the same ufuncs.  The bit cases hold all three to each
+other, so a SciPy release that broke the identity fails here rather than
+in a golden (``tests/test_normal.py`` holds the port to the ufuncs on a
+far larger grid).
 """
 
 import json
@@ -25,10 +31,12 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
+from repro import normal
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Modules no flow loads, with their submodules.
-ABSENT = ("scipy.stats", "repro.campaign", "repro.service", "repro.lint")
+ABSENT = ("scipy", "repro.campaign", "repro.service", "repro.lint")
 
 #: What the CLI's parser reads of the lint package: its pass names.
 LINT_PARSER = ("repro.lint", "repro.lint.core")
@@ -65,11 +73,12 @@ def run(circuit):
     analyze_statistical_leakage(circuit, varmodel).percentile_power(0.95)
 
 
+p = benchmark_spec("c432")
+clone = random_logic(lib, name="c432_s1", n_inputs=p.n_inputs, n_outputs=p.n_outputs,
+                     n_gates=p.n_gates, depth=p.depth, seed=1)
 run(make_benchmark("c17", lib))
 warm = set(sys.modules)
-p = benchmark_spec("c432")
-run(random_logic(lib, name="c432_s1", n_inputs=p.n_inputs, n_outputs=p.n_outputs,
-                 n_gates=p.n_gates, depth=p.depth, seed=1))
+run(clone)
 report = {"added": sorted(set(sys.modules) - warm)}
 """
 
@@ -170,3 +179,27 @@ class TestSpecialMatchesStats:
         got, want = ndtr(x), stats.norm.cdf(x)
         assert type(got) is type(want)
         assert bits(got) == bits(want)
+
+
+class TestPortMatchesStats:
+    """The port returns Python floats with ``norm.ppf``/``norm.cdf``'s bits."""
+
+    def test_ndtri_is_norm_ppf_bitwise_on_arrays(self):
+        q = quantile_grid()
+        assert bits([normal.ndtri(v) for v in q.tolist()]) == bits(stats.norm.ppf(q))
+
+    def test_ndtr_is_norm_cdf_bitwise_on_arrays(self):
+        x = point_grid()
+        assert bits([normal.ndtr(v) for v in x.tolist()]) == bits(stats.norm.cdf(x))
+
+    @pytest.mark.parametrize("q", QUANTILES)
+    def test_ndtri_is_norm_ppf_bitwise_on_scalars(self, q):
+        got = normal.ndtri(q)
+        assert type(got) is float
+        assert bits(got) == bits(stats.norm.ppf(q))
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_ndtr_is_norm_cdf_bitwise_on_scalars(self, x):
+        got = normal.ndtr(x)
+        assert type(got) is float
+        assert bits(got) == bits(stats.norm.cdf(x))

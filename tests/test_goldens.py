@@ -19,6 +19,10 @@ output moved is checked rather than asserted.
 Those must match exactly: a speedup that claims the same program keeps
 every assignment, pass record and metric bit and every count.
 
+:data:`YIELD_Z_PINS` holds the statistical flow's z-score of the yield
+target bit for bit.  The optimizer runs above do not: a 1-ulp change in
+the z only moves the effective slack budget, and flips no move on them.
+
 A missing file fails.  After a deliberate change to the numbers, rewrite
 both files with::
 
@@ -34,8 +38,10 @@ import pytest
 from repro.analysis.experiments import prepare, run_comparison
 from repro.core import OptimizerConfig, optimize_deterministic, optimize_statistical
 from repro.core.annealing import AnnealConfig, optimize_annealing
+from repro.core.metrics import metric_models
+from repro.core.statistical import StatisticalStrategy
 from repro.telemetry import telemetry_session
-from repro.timing import run_monte_carlo_sta, run_ssta
+from repro.timing import TimingView, run_monte_carlo_sta, run_ssta
 
 GOLDENS = Path(__file__).resolve().parent / "goldens" / "paper_claims.json"
 OPTIMIZER_GOLDENS = GOLDENS.with_name("optimizer_results.json")
@@ -178,6 +184,32 @@ def test_optimizer_results_match_golden(optimizer_goldens, run):
 
 def test_optimizer_golden_covers_every_run(optimizer_goldens):
     assert sorted(optimizer_goldens) == sorted(OPTIMIZER_RUNS)
+
+
+#: ``float.hex`` of ``StatisticalStrategy._z`` per yield target, written
+#: when ``scipy.special.ndtri`` still took it.
+YIELD_Z_PINS = {
+    0.9: "0x1.4813c36e26d32p+0",
+    0.95: "0x1.a515209676abbp+0",
+    0.99: "0x1.29c5c4630ff0ep+1",
+    0.999: "0x1.8b8cbb7204470p+1",
+}
+
+
+@pytest.fixture(scope="module")
+def c17_models():
+    setup = prepare("c17")
+    return setup, metric_models(setup.circuit, setup.varmodel)
+
+
+@pytest.mark.parametrize("eta", sorted(YIELD_Z_PINS))
+def test_yield_target_z_is_pinned(c17_models, eta):
+    setup, models = c17_models
+    strategy = StatisticalStrategy(
+        TimingView(setup.circuit), setup.varmodel, 1.0,
+        OptimizerConfig(yield_target=eta), models.leakage, models.lognormal_sum,
+    )
+    assert strategy._z.hex() == YIELD_Z_PINS[eta]
 
 
 if __name__ == "__main__":

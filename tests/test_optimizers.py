@@ -150,10 +150,10 @@ class TestConfigurationVariants:
 
 class TestYieldQuantile:
     def test_z_score_is_computed_once_per_strategy(self, c432, spec, monkeypatch):
-        import scipy.special
         from scipy import stats
 
         import repro.core.statistical
+        import repro.normal
         from repro.core.statistical import StatisticalStrategy
         from repro.core import metric_models
         from repro.timing import TimingView
@@ -171,10 +171,10 @@ class TestYieldQuantile:
         def no_ppf(*args, **kwargs):
             raise AssertionError("quantile evaluated per pass")
 
-        # The strategy calls ``ndtri``; the other two catch a quantile
-        # taken another way.
+        # The strategy calls the port's ``ndtri``; the other two catch a
+        # quantile taken another way.
         monkeypatch.setattr(repro.core.statistical, "ndtri", no_ppf)
-        monkeypatch.setattr(scipy.special, "ndtri", no_ppf)
+        monkeypatch.setattr(repro.normal, "ndtri", no_ppf)
         monkeypatch.setattr(stats.norm, "ppf", no_ppf)
         for _ in range(2):
             state = strategy.analyze()
