@@ -15,12 +15,12 @@ goes through them in turn, so a before/after pair shares the host's
 load.  One row per (checkout, entry) is appended to
 ``BENCH_startup.json`` at the root of this repository: the entry and
 its argv, the run count, the median, fastest and slowest wall seconds,
-the children's peak RSS, the modules imported and whether any
-``scipy`` module, and ``scipy.stats`` in particular, was among them
-(from one more run under ``python -X importtime``, not timed), and where it was measured: git
-sha of the checkout's ``src/`` (``-dirty`` with uncommitted changes),
-``src/`` lines, CPU count and UTC time.  BLAS runs on one thread in
-every child.
+the children's peak RSS, the modules imported and whether any ``scipy``
+module, and ``scipy.stats`` in particular, was among them (from one
+more run under ``python -X importtime``, not timed), and where it was
+measured: git sha of the checkout's ``src/`` (``-dirty`` with
+uncommitted changes), ``src/`` lines, CPU count and UTC time.  BLAS runs
+on one thread in every child.
 """
 
 from __future__ import annotations

@@ -186,8 +186,8 @@ def test_optimizer_golden_covers_every_run(optimizer_goldens):
     assert sorted(optimizer_goldens) == sorted(OPTIMIZER_RUNS)
 
 
-#: ``float.hex`` of ``StatisticalStrategy._z`` per yield target, written
-#: when ``scipy.special.ndtri`` still took it.
+#: ``float.hex`` of ``StatisticalStrategy._z`` per yield target, captured
+#: from ``scipy.special.ndtri`` (SciPy 1.17.1).
 YIELD_Z_PINS = {
     0.9: "0x1.4813c36e26d32p+0",
     0.95: "0x1.a515209676abbp+0",

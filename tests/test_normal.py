@@ -126,10 +126,6 @@ def assert_port_matches_scipy(port, ufunc, args: np.ndarray) -> None:
     )
 
 
-def test_grid_is_large():
-    assert quantile_grid().size + point_grid().size >= 250_000
-
-
 def test_ndtri_matches_scipy_bitwise():
     assert_port_matches_scipy(ndtri, special.ndtri, quantile_grid())
 
