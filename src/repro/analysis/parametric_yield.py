@@ -28,7 +28,6 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..errors import PowerError, TimingError
-from ..normal import ndtr
 from ..power.mc import run_monte_carlo_leakage
 from ..power.statistical import gate_log_leakage_terms
 from ..timing.mc import run_monte_carlo_sta
@@ -145,10 +144,11 @@ def analytic_parametric_yield(
 
     z_t = _z_score(target_delay, delay.mean, delay.sigma)
     z_l = _z_score(math.log(leakage_cap), mu_l, sigma_l)
-    timing_yield = ndtr(z_t)
-    leakage_yield = ndtr(z_l)
     from scipy import stats
+    from scipy.special import ndtr
 
+    timing_yield = float(ndtr(z_t))
+    leakage_yield = float(ndtr(z_l))
     joint = float(
         stats.multivariate_normal(
             mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]]

@@ -32,7 +32,6 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import EstimatorError
-from ..normal import ndtr
 from ..parallel.plan import SampleShard, adaptive_shard_size
 from ..variation.model import VariationModel
 
@@ -80,7 +79,9 @@ class DelayMoments:
         s = self.total_sigma
         if s <= 0.0:
             return 1.0 if target_delay >= self.mean else 0.0
-        return ndtr((target_delay - self.mean) / s)
+        from scipy.special import ndtr
+
+        return float(ndtr((target_delay - self.mean) / s))
 
     def conditional_yield(
         self, z: np.ndarray, target_delay: float
@@ -94,9 +95,9 @@ class DelayMoments:
         """
         slack = target_delay - self.mean - z @ self.global_sens
         if self.indep_sigma > 0.0:
-            from scipy import special
+            from scipy.special import ndtr
 
-            return np.asarray(special.ndtr(slack / self.indep_sigma))
+            return np.asarray(ndtr(slack / self.indep_sigma))
         return (slack >= 0.0).astype(float)
 
 

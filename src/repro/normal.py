@@ -1,14 +1,14 @@
-"""Standard-normal quantile and CDF on scalars, bit-identical to SciPy.
+"""Standard-normal quantile on scalars, bit-identical to SciPy.
 
-:func:`ndtri` and :func:`ndtr` are line-for-line ports of the Cephes
-routines ``ndtri.c`` and ``ndtr.c`` (with their ``erf``, ``erfc``,
-``polevl`` and ``p1evl``), the code ``scipy.special.ndtri``/``ndtr``
-compile.  They run on :mod:`math`'s ``log``/``exp``/``sqrt``, so the
-flows take the yield target's z-score and the Wilkinson leakage
-percentile without importing SciPy.  Each operation runs in Cephes'
-order, which keeps every result bit for bit equal to SciPy's ufunc;
+:func:`ndtri` is a line-for-line port of the Cephes routine ``ndtri.c``
+(with its ``polevl`` and ``p1evl``), the code ``scipy.special.ndtri``
+compiles.  It runs on :mod:`math`'s ``log`` and ``sqrt``, so the flows
+take the yield target's z-score and the Wilkinson leakage percentile
+without importing SciPy.  Each operation runs in Cephes' order, which
+keeps every result bit for bit equal to SciPy's ufunc;
 ``tests/test_normal.py`` holds the two to each other and to literal bit
-patterns.  Array callers keep SciPy's compiled ufunc.
+patterns.  Array callers, and the scalar CDFs off the flows' path, keep
+SciPy's compiled ufuncs.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from typing import Sequence
 _EXPM2 = 0.13533528323661269189
 #: sqrt(2 pi).
 _S2PI = 2.50662827463100050242
-#: sqrt(1/2).
-_SQRTH = 7.07106781186547524401e-1
-#: log of the largest double: ``erfc`` underflows beyond ``a * a > MAXLOG``.
-_MAXLOG = 7.09782712893383996843e2
 
 # ndtri: central expansion on |y - 1/2| <= 1/2 - exp(-2).
 _P0 = (
@@ -65,42 +61,6 @@ _Q2 = (
     1.34204006088543189037e-2, 3.28014464682127739104e-4,
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
 )
-# erf on |x| <= 1.
-_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1,
-    2.23200534594684319226e3, 7.00332514112805075473e3,
-    5.55923013010394962768e4,
-)
-_U = (
-    3.35617141647503099647e1, 5.21357949780152679795e2,
-    4.59432382970980127987e3, 2.26290000613890934246e4,
-    4.92673942608635921086e4,
-)
-# erfc on 1 <= |a| < 8.
-_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1,
-    7.46321056442269912687e0, 4.86371970985681366614e1,
-    1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3,
-    5.57535335369399327526e2,
-)
-_Q = (
-    1.32281951154744992508e1, 8.67072140885989742329e1,
-    3.54937778887819891062e2, 9.75708501743205489753e2,
-    1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-# erfc on |a| >= 8.
-_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0,
-    5.01905042251180477414e0, 6.16021097993053585195e0,
-    7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_S = (
-    2.26052863220117276590e0, 9.39603524938001434673e0,
-    1.20489539808096656605e1, 1.70814450747565897222e1,
-    9.60896809063285878198e0, 3.36907645100081516050e0,
-)
 
 
 def _polevl(x: float, coef: Sequence[float]) -> float:
@@ -120,7 +80,7 @@ def _p1evl(x: float, coef: Sequence[float]) -> float:
 
 
 def ndtri(y0: float) -> float:
-    """Standard-normal quantile: the ``x`` with ``ndtr(x) == y0``.
+    """Standard-normal quantile: the ``x`` whose normal CDF is ``y0``.
 
     0 maps to -inf, 1 to +inf; a ``y0`` outside [0, 1] gives NaN.
     """
@@ -149,44 +109,3 @@ def ndtri(y0: float) -> float:
         x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
     x = x0 - x1
     return -x if negate else x
-
-
-def ndtr(a: float) -> float:
-    """Standard-normal CDF at ``a``."""
-    a = float(a)
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRTH
-    z = abs(x)
-    if z < _SQRTH:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
-
-
-def _erf(x: float) -> float:
-    if x < 0.0:
-        return -_erf(-x)
-    if abs(x) > 1.0:
-        return 1.0 - _erfc(x)
-    z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
-
-
-def _erfc(a: float) -> float:
-    x = abs(a)
-    if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    if z < -_MAXLOG:
-        return 2.0 if a < 0 else 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        y = z * _polevl(x, _P) / _p1evl(x, _Q)
-    else:
-        y = z * _polevl(x, _R) / _p1evl(x, _S)
-    if a < 0:
-        y = 2.0 - y
-    if y == 0.0:  # lint: ignore[RPR402] cephes' exact underflow test: erfc rounded to zero
-        return 2.0 if a < 0 else 0.0
-    return y

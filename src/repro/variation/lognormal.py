@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import VariationError
-from ..normal import ndtr, ndtri
+from ..normal import ndtri
 
 
 def lognormal_mean(mu: float, sigma: float) -> float:
@@ -98,7 +98,9 @@ class LognormalSummary:
             return 0.0
         if self.sigma == 0.0:  # lint: ignore[RPR402] exact zero marks a deterministic sum, not a tolerance test
             return 1.0 if x >= math.exp(self.mu) else 0.0
-        return ndtr((math.log(x) - self.mu) / self.sigma)
+        from scipy.special import ndtr
+
+        return float(ndtr((math.log(x) - self.mu) / self.sigma))
 
 
 def loading_groups(global_loadings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -461,8 +461,8 @@ BENCH_STARTUP_NO_SCIPY_FIELD_SOURCES = BENCH_STARTUP_PRE_SPLIT_SOURCES | {
     "4b8843f1e1c80124b26b09aca8cb8ac6b6a7da47",
 }
 
-#: Sources recorded before the flows took scalar normal quantiles and
-#: CDFs from ``repro.normal``: every entry point loaded ``scipy.special``.
+#: Sources recorded before the flows took their normal quantiles from
+#: ``repro.normal``: every entry point loaded ``scipy.special``.
 BENCH_STARTUP_PRE_PORT_SOURCES = BENCH_STARTUP_NO_SCIPY_FIELD_SOURCES | {
     "6e3519898ff0f462c820a800b35cb3ec281ddc90",
 }

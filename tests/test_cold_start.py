@@ -10,14 +10,14 @@ would pay for it inside its own wall time.  It builds that circuit
 before taking its snapshot, because the clone builder's seeded generator
 loads ``numpy.random``, which no flow needs.
 
-The flows take scalar normal quantiles and CDFs from
-:func:`repro.normal.ndtri` and :func:`~repro.normal.ndtr`, a port of the
-code ``scipy.special.ndtri``/``ndtr`` compile; the MC estimators and the
-histogram engine call those ufuncs on arrays.  SciPy's ``norm.ppf`` and
-``norm.cdf`` wrap the same ufuncs.  The bit cases hold all three to each
-other, so a SciPy release that broke the identity fails here rather than
-in a golden (``tests/test_normal.py`` holds the port to the ufuncs on a
-far larger grid).
+The flows take their normal quantiles from :func:`repro.normal.ndtri`,
+a port of the code ``scipy.special.ndtri`` compiles; the MC estimators,
+the histogram engine and the analytic yields call ``scipy.special``'s
+``ndtri`` and ``ndtr``.  SciPy's ``norm.ppf`` and ``norm.cdf`` wrap the
+same ufuncs.  The bit cases hold them to each other, and the port to
+``norm.ppf``, so a SciPy release that broke the identity fails here
+rather than in a golden (``tests/test_normal.py`` holds the port to the
+ufunc on a far larger grid).
 """
 
 import json
@@ -160,9 +160,13 @@ def point_grid() -> np.ndarray:
 
 
 class TestSpecialMatchesStats:
+    """``scipy.special`` and, for the quantile, the port hold ``norm``'s bits."""
+
     def test_ndtri_is_norm_ppf_bitwise_on_arrays(self):
         q = quantile_grid()
-        assert bits(ndtri(q)) == bits(stats.norm.ppf(q))
+        want = bits(stats.norm.ppf(q))
+        assert bits(ndtri(q)) == want
+        assert bits([normal.ndtri(v) for v in q.tolist()]) == want
 
     def test_ndtr_is_norm_cdf_bitwise_on_arrays(self):
         x = point_grid()
@@ -170,9 +174,11 @@ class TestSpecialMatchesStats:
 
     @pytest.mark.parametrize("q", QUANTILES)
     def test_ndtri_is_norm_ppf_bitwise_on_scalars(self, q):
-        got, want = ndtri(q), stats.norm.ppf(q)
-        assert type(got) is type(want)
-        assert bits(got) == bits(want)
+        want = stats.norm.ppf(q)
+        # SciPy's ufunc returns ``norm.ppf``'s NumPy scalar; the port a float.
+        for got, kind in ((ndtri(q), type(want)), (normal.ndtri(q), float)):
+            assert type(got) is kind
+            assert bits(got) == bits(want)
 
     @pytest.mark.parametrize("x", POINTS)
     def test_ndtr_is_norm_cdf_bitwise_on_scalars(self, x):
@@ -180,26 +186,3 @@ class TestSpecialMatchesStats:
         assert type(got) is type(want)
         assert bits(got) == bits(want)
 
-
-class TestPortMatchesStats:
-    """The port returns Python floats with ``norm.ppf``/``norm.cdf``'s bits."""
-
-    def test_ndtri_is_norm_ppf_bitwise_on_arrays(self):
-        q = quantile_grid()
-        assert bits([normal.ndtri(v) for v in q.tolist()]) == bits(stats.norm.ppf(q))
-
-    def test_ndtr_is_norm_cdf_bitwise_on_arrays(self):
-        x = point_grid()
-        assert bits([normal.ndtr(v) for v in x.tolist()]) == bits(stats.norm.cdf(x))
-
-    @pytest.mark.parametrize("q", QUANTILES)
-    def test_ndtri_is_norm_ppf_bitwise_on_scalars(self, q):
-        got = normal.ndtri(q)
-        assert type(got) is float
-        assert bits(got) == bits(stats.norm.ppf(q))
-
-    @pytest.mark.parametrize("x", POINTS)
-    def test_ndtr_is_norm_cdf_bitwise_on_scalars(self, x):
-        got = normal.ndtr(x)
-        assert type(got) is float
-        assert bits(got) == bits(stats.norm.cdf(x))
