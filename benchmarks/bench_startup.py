@@ -16,11 +16,11 @@ load.  One row per (checkout, entry) is appended to
 ``BENCH_startup.json`` at the root of this repository: the entry and
 its argv, the run count, the median, fastest and slowest wall seconds,
 the children's peak RSS, the modules imported and whether any ``scipy``
-module, and ``scipy.stats`` in particular, was among them (from one
-more run under ``python -X importtime``, not timed), and where it was
-measured: git sha of the checkout's ``src/`` (``-dirty`` with
-uncommitted changes), ``src/`` lines, CPU count and UTC time.  BLAS runs
-on one thread in every child.
+module, ``scipy.stats`` in particular, and ``numpy.random`` were among
+them (from one more run under ``python -X importtime``, not timed), and
+where it was measured: git sha of the checkout's ``src/`` (``-dirty``
+with uncommitted changes), ``src/`` lines, CPU count and UTC time.  BLAS
+runs on one thread in every child.
 """
 
 from __future__ import annotations
@@ -135,6 +135,7 @@ def measure(roots) -> list:
                 "modules_loaded": len(modules),
                 "scipy_loaded": loads(modules, "scipy"),
                 "scipy_stats_loaded": loads(modules, "scipy.stats"),
+                "numpy_random_loaded": loads(modules, "numpy.random"),
                 **stamp,
             })
     return rows
@@ -162,7 +163,8 @@ def main(argv=None) -> int:
               f"[{row['min_seconds']:.2f}, {row['max_seconds']:.2f}]  "
               f"{row['peak_rss_mb']:.1f} MB  {row['modules_loaded']} modules  "
               f"scipy {'yes' if row['scipy_loaded'] else 'no'}  "
-              f"scipy.stats {'yes' if row['scipy_stats_loaded'] else 'no'}")
+              f"scipy.stats {'yes' if row['scipy_stats_loaded'] else 'no'}  "
+              f"numpy.random {'yes' if row['numpy_random_loaded'] else 'no'}")
     return 0
 
 

@@ -17,11 +17,13 @@ files drop in through :mod:`repro.circuit.bench_parser` unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import NetlistError
+from ..pcg64 import Generator
 from ..tech.library import Library
 from .netlist import Circuit
 
@@ -195,7 +197,7 @@ def random_logic(
         raise NetlistError("all profile numbers must be >= 1")
     if depth > n_gates:
         raise NetlistError(f"depth {depth} exceeds gate count {n_gates}")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     circuit = Circuit(name, library)
     inputs = [f"i{k}" for k in range(n_inputs)]
     for net in inputs:
@@ -204,6 +206,7 @@ def random_logic(
     cells = [c for c, _ in cell_mix]
     weights = np.array([w for _, w in cell_mix], dtype=float)
     weights /= weights.sum()
+    cdf = _cdf(weights)
     arity = {c: library.cell(c).n_inputs for c in cells}
 
     # Bell-shaped gates-per-level allocation with at least one per level.
@@ -222,7 +225,7 @@ def random_logic(
         this_level: List[str] = []
         available = sum(len(level) for level in levels)
         for _ in range(int(alloc[level_idx - 1])):
-            cell = str(rng.choice(cells, p=weights))
+            cell = cells[bisect_right(cdf, rng.random())]
             # Small profiles cannot feed wide cells distinct nets early on;
             # clamp the draw to cells the current net pool can supply.
             if arity[cell] > available:
@@ -234,7 +237,8 @@ def random_logic(
                 narrow_w = np.array(
                     [weights[cells.index(c)] for c in narrow], dtype=float
                 )
-                cell = str(rng.choice(narrow, p=narrow_w / narrow_w.sum()))
+                narrow_cdf = _cdf(narrow_w / narrow_w.sum())
+                cell = narrow[bisect_right(narrow_cdf, rng.random())]
             k = arity[cell]
             fanins = _pick_fanins(rng, levels, k, unused_inputs)
             gate_name = f"{name}_g{gate_counter}"
@@ -266,10 +270,9 @@ def random_logic(
         dangling.append(net)
     if len(dangling) < n_outputs:
         internal = [g.name for g in circuit.gates() if g.name not in dangling]
-        extra = rng.choice(
-            internal, size=min(n_outputs - len(dangling), len(internal)), replace=False
+        dangling.extend(
+            rng.choice(internal, min(n_outputs - len(dangling), len(internal)))
         )
-        dangling.extend(str(e) for e in extra)
     for out in dangling:
         circuit.add_output(out)
     return circuit.freeze()
@@ -333,10 +336,12 @@ def _connect_unused_inputs(gates, inputs, rng, name: str) -> None:
     pending = [pi for pi in inputs if use_count.get(pi, 0) == 0]
     if not pending:
         return
-    for idx in rng.permutation(len(gates)):
+    order = list(range(len(gates)))
+    rng.shuffle(order)  # NumPy's ``permutation(len(gates))``
+    for idx in order:
         if not pending:
             return
-        gate = gates[int(idx)]
+        gate = gates[idx]
         chosen_j = next(
             (j for j, pi in enumerate(pending) if pi not in gate.fanins), None
         )
@@ -349,7 +354,7 @@ def _connect_unused_inputs(gates, inputs, rng, name: str) -> None:
         ]
         if not slots:
             continue
-        slot = slots[int(rng.integers(len(slots)))]
+        slot = slots[rng.integers(len(slots))]
         old = gate.fanins[slot]
         new = pending.pop(chosen_j)
         fanins = list(gate.fanins)
@@ -364,8 +369,15 @@ def _connect_unused_inputs(gates, inputs, rng, name: str) -> None:
         )
 
 
+def _cdf(p: np.ndarray) -> List[float]:
+    """The CDF NumPy's ``choice(cells, p=p)`` searches with one ``random()``."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def _pick_fanins(
-    rng: np.random.Generator,
+    rng: Generator,
     levels: List[List[str]],
     k: int,
     unused_inputs: set,
@@ -374,17 +386,17 @@ def _pick_fanins(
     from earlier levels with geometric locality; consume unused inputs
     opportunistically so every primary input ends up driven."""
     prev = levels[-1]
-    chosen: List[str] = [prev[int(rng.integers(len(prev)))]]
+    chosen: List[str] = [prev[rng.integers(len(prev))]]
     guard = 0
     while len(chosen) < k and guard < 100:
         guard += 1
         if unused_inputs and rng.random() < 0.25:
-            candidate = sorted(unused_inputs)[int(rng.integers(len(unused_inputs)))]
+            candidate = sorted(unused_inputs)[rng.integers(len(unused_inputs))]
         else:
             # Geometric preference for recent levels.
-            back = min(int(rng.geometric(0.5)), len(levels))
+            back = min(rng.geometric(0.5), len(levels))
             pool = levels[-back]
-            candidate = pool[int(rng.integers(len(pool)))]
+            candidate = pool[rng.integers(len(pool))]
         if candidate not in chosen:
             chosen.append(candidate)
     if len(chosen) < k:

@@ -23,7 +23,7 @@ Design decisions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -262,7 +262,8 @@ class Circuit:
             raise NetlistError("circuit name must be non-empty")
         self.name = name
         self.library = library
-        self._inputs: List[str] = []
+        self._inputs: List[str] = []  # declaration order
+        self._input_set: Set[str] = set()
         self._outputs: List[str] = []
         self._gates: Dict[str, Gate] = {}
         self._frozen = False
@@ -283,9 +284,10 @@ class Circuit:
         self._ensure_mutable()
         if not name:
             raise NetlistError("input name must be non-empty")
-        if name in self._inputs or name in self._gates:
+        if name in self._input_set or name in self._gates:
             raise NetlistError(f"duplicate net name {name!r}")
         self._inputs.append(name)
+        self._input_set.add(name)
 
     def add_gate(
         self,
@@ -297,7 +299,7 @@ class Circuit:
     ) -> Gate:
         """Instantiate a library cell driving net ``name``."""
         self._ensure_mutable()
-        if name in self._gates or name in self._inputs:
+        if name in self._gates or name in self._input_set:
             raise NetlistError(f"duplicate net name {name!r}")
         cell = self.library.cell(cell_name)  # raises LibraryError if unknown
         if len(fanins) != cell.n_inputs:
@@ -380,11 +382,11 @@ class Circuit:
 
     def has_net(self, name: str) -> bool:
         """Whether ``name`` is a known net (input or gate output)."""
-        return name in self._inputs or name in self._gates
+        return name in self._input_set or name in self._gates
 
     def is_input(self, name: str) -> bool:
         """Whether ``name`` is a primary input."""
-        return name in self._inputs
+        return name in self._input_set
 
     def topological_order(self) -> List[str]:
         """Gate names in topological (fanin-before-fanout) order."""

@@ -16,10 +16,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..circuit.netlist import Circuit, GateAssignment
 from ..errors import OptimizationError
+from ..pcg64 import Generator
 from ..power.statistical import analyze_statistical_leakage
 from ..tech.corners import slow_corner
 from ..tech.technology import VthClass
@@ -100,7 +99,7 @@ def optimize_annealing(
     initial = circuit.assignment()
     before = snapshot_metrics(view, models, target_delay, corner, config)
 
-    rng = np.random.default_rng(anneal.seed)
+    rng = Generator(anneal.seed)
     sizes = view.library.sizes
 
     def evaluate() -> tuple[float, float, float]:
@@ -139,19 +138,17 @@ def optimize_annealing(
         "opt.flow", flow="annealing", circuit=circuit.name, steps=anneal.steps
     ):
         for _ in range(anneal.steps):
-            idx = int(rng.integers(len(gates)))
-            gate = gates[idx]
-            old_state = (gate.size, gate.vth)
+            gate = gates[rng.integers(len(gates))]
+            old_size, old_vth = gate.size, gate.vth
             if rng.random() < 0.5 and config.enable_vth:
-                gate.vth = gate.vth.other()
+                gate.vth = old_vth.other()
             elif config.enable_sizing:
-                neighbors = []
-                up = view.library.next_size_up(gate.size)
-                down = view.library.next_size_down(gate.size)
+                up = view.library.next_size_up(old_size)
+                down = view.library.next_size_down(old_size)
                 neighbors = [s for s in (up, down) if s is not None]
                 if not neighbors:
                     continue
-                gate.size = neighbors[int(rng.integers(len(neighbors)))]
+                gate.size = neighbors[rng.integers(len(neighbors))]
             else:
                 continue
 
@@ -165,8 +162,10 @@ def optimize_annealing(
                 if y >= config.yield_target and new_cost < best_cost:
                     best_cost = new_cost
                     best_assignment = circuit.assignment()
+            elif gate.vth is not old_vth:
+                gate.vth = old_vth  # one write, one version bump
             else:
-                gate.size, gate.vth = old_state
+                gate.size = old_size
             temperature *= decay
 
     circuit.apply_assignment(best_assignment)

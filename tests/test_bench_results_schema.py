@@ -445,6 +445,7 @@ BENCH_STARTUP_ROW_KEYS = {
     "modules_loaded",
     "scipy_loaded",
     "scipy_stats_loaded",
+    "numpy_random_loaded",
     "git_sha",
     "src_lines",
     "cpu_count",
@@ -467,6 +468,25 @@ BENCH_STARTUP_PRE_PORT_SOURCES = BENCH_STARTUP_NO_SCIPY_FIELD_SOURCES | {
     "6e3519898ff0f462c820a800b35cb3ec281ddc90",
 }
 
+#: Sources recorded before rows carried ``numpy_random_loaded``.
+BENCH_STARTUP_NO_NUMPY_RANDOM_FIELD_SOURCES = BENCH_STARTUP_PRE_PORT_SOURCES | {
+    "dbf440daa3d7e6120175fbcc40aef6f744a84dc1",
+    "0321efddac4fb8a4a6219dddc67edb5163e16d0b",
+}
+
+#: Sources whose clone builder drew from ``numpy.random``.
+BENCH_STARTUP_NUMPY_RANDOM_SOURCES = BENCH_STARTUP_NO_NUMPY_RANDOM_FIELD_SOURCES | {
+    "818e39e0594795c9e19fc174b138b47161e050fc",
+}
+
+#: The entries that build seeded clones and must not load ``numpy.random``.
+#: perfbench's ``analyze`` set-up draws its own states from it.
+BENCH_STARTUP_CLONE_ENTRIES = {
+    "repro optimize c432 --flow statistical",
+    "repro analyze c432",
+    "perfbench optimize set-up",
+}
+
 
 @pytest.fixture(scope="module")
 def bench_startup():
@@ -484,6 +504,10 @@ class TestBenchStartupSchema:
                 keys = keys - {"scipy_loaded"}
             else:
                 assert isinstance(row.get("scipy_loaded"), bool), key
+            if row.get("git_sha") in BENCH_STARTUP_NO_NUMPY_RANDOM_FIELD_SOURCES:
+                keys = keys - {"numpy_random_loaded"}
+            else:
+                assert isinstance(row.get("numpy_random_loaded"), bool), key
             assert set(row) == keys, key
             assert row["entry"] in BENCH_STARTUP_ENTRIES, key
             assert row["runs"] >= 5, key
@@ -510,3 +534,9 @@ class TestBenchStartupSchema:
         for row in bench_startup["rows"]:
             if row["git_sha"] not in BENCH_STARTUP_PRE_PORT_SOURCES:
                 assert row["scipy_loaded"] is False, (row["git_sha"], row["entry"])
+
+    def test_no_clone_entry_loads_numpy_random_after_the_port(self, bench_startup):
+        for row in bench_startup["rows"]:
+            if (row["git_sha"] not in BENCH_STARTUP_NUMPY_RANDOM_SOURCES
+                    and row["entry"] in BENCH_STARTUP_CLONE_ENTRIES):
+                assert row["numpy_random_loaded"] is False, (row["git_sha"], row["entry"])

@@ -1,14 +1,15 @@
 """The flows' import boundary, and the normal quantile/CDF bits it relies on.
 
 ``repro optimize``, ``repro analyze`` and the library calls behind them
-load only the modules those flows run: never SciPy, the campaign engine,
-the job service or the lint passes.  Each boundary case runs in a fresh
+load only the modules those flows run: never SciPy, ``numpy.random``,
+the campaign engine, the job service or the lint passes.  The clone
+builder and the annealer draw from :mod:`repro.pcg64`, so ``repro
+optimize c432`` and ``repro analyze c432``, which build a seeded clone,
+load no ``numpy.random`` either.  Each boundary case runs in a fresh
 interpreter, because an import made by any earlier test would hide one
 here.  The library case also checks that the flows import nothing after
-a first run: a run on a larger circuit that still imported a module
-would pay for it inside its own wall time.  It builds that circuit
-before taking its snapshot, because the clone builder's seeded generator
-loads ``numpy.random``, which no flow needs.
+a first run: building and running a larger clone that still imported a
+module would pay for it inside its own wall time.
 
 The flows take their normal quantiles from :func:`repro.normal.ndtri`,
 a port of the code ``scipy.special.ndtri`` compiles; the MC estimators,
@@ -36,7 +37,7 @@ from repro import normal
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Modules no flow loads, with their submodules.
-ABSENT = ("scipy", "repro.campaign", "repro.service", "repro.lint")
+ABSENT = ("scipy", "numpy.random", "repro.campaign", "repro.service", "repro.lint")
 
 #: What the CLI's parser reads of the lint package: its pass names.
 LINT_PARSER = ("repro.lint", "repro.lint.core")
@@ -73,12 +74,11 @@ def run(circuit):
     analyze_statistical_leakage(circuit, varmodel).percentile_power(0.95)
 
 
-p = benchmark_spec("c432")
-clone = random_logic(lib, name="c432_s1", n_inputs=p.n_inputs, n_outputs=p.n_outputs,
-                     n_gates=p.n_gates, depth=p.depth, seed=1)
 run(make_benchmark("c17", lib))
 warm = set(sys.modules)
-run(clone)
+p = benchmark_spec("c432")
+run(random_logic(lib, name="c432_s1", n_inputs=p.n_inputs, n_outputs=p.n_outputs,
+                 n_gates=p.n_gates, depth=p.depth, seed=1))
 report = {"added": sorted(set(sys.modules) - warm)}
 """
 
@@ -122,7 +122,9 @@ def test_library_flows_load_no_unused_subsystem_and_import_nothing_once_warm():
     ["--version"],
     ["optimize", "c17", "--flow", "statistical"],
     ["analyze", "c17"],
-], ids=["version", "optimize", "analyze"])
+    ["optimize", "c432", "--flow", "statistical"],
+    ["analyze", "c432"],
+], ids=["version", "optimize", "analyze", "optimize-clone", "analyze-clone"])
 def test_cli_verbs_load_no_unused_subsystem(argv):
     report = run_case(CLI_CASE.format(argv=argv))
     assert report["code"] == 0

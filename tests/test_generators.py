@@ -1,11 +1,15 @@
 """Structured and random circuit generators."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from repro.circuit import (
+    FULL_SUITE,
     array_multiplier,
+    make_benchmark,
     parity_tree,
     random_logic,
     ripple_carry_adder,
@@ -127,3 +131,77 @@ class TestRandomLogic:
             random_logic(lib, "r", 0, 4, 60, 8, seed=5)
         with pytest.raises(NetlistError):
             random_logic(lib, "r", 10, 4, 5, 8, seed=5)  # depth > gates
+
+
+def structure_digest(circuit) -> str:
+    """sha256 of the inputs, the outputs, every gate's ``(name, cell,
+    fanins)`` in insertion order and the topological order."""
+    gates = [[g.name, g.cell_name, list(g.fanins)] for g in circuit.gates()]
+    text = json.dumps([
+        list(circuit.inputs), list(circuit.outputs), gates,
+        circuit.topological_order(),
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: Every generated suite circuit, digested at the commit before the clone
+#: builder left ``numpy.random``; any change to a draw moves its digest.
+SUITE_DIGESTS = {
+    "c432": "64d3904443cb024c6e869911cc9b5db7b87fd3c39c310a31bc9eb2fb6dd54340",
+    "c499": "72c3448f2461aa57694a47fcecaf74faa6d042595d5f65fd72656b75a926a025",
+    "c880": "7d66769bdbd0d196d75957f6fde3850ed2cf785579808f1782740d9853528ab4",
+    "c1355": "f889e8717740c624b0c3890de02464624893fc20297a8977cc5e2b489793644b",
+    "c1908": "2fcd353b4f91c9c67ccc2e1290fa37f1fb986ac8d8d72e9f20ba714369a4ac8c",
+    "c2670": "8423b25a510d92d06aebff1f76dd05585ba2550a907093ed17d7dbab0611f266",
+    "c3540": "587148fb53359de8334f3d6ebe4c59221627c612cee71f799192c47a1c4df1e7",
+    "c5315": "b1c56e67b8a6ca1a606a4faceca0067a769116f36ca284caa92dc8e66a44f616",
+    "c6288": "a2a7b7724b7e8f395da9803fa78f4cfe8340fa07bcab29599a70044199f4b25d",
+    "c7552": "96ede17c55c0ade8ea81da75bd196aa6f7eb4619c72865820ed8f04d976fe438",
+}
+
+NAND4_INV = (("NAND4", 1.0), ("INV", 1.0))
+
+#: Tiny profiles that between them run every branch of ``random_logic``,
+#: ``_pick_fanins`` and ``_connect_unused_inputs`` but two that cannot
+#: run: a gate already holding every pending input (a pending input
+#: drives no pin) and the raise after the pad (the narrow-cell clamp
+#: leaves the pad enough nets).  ``(inputs, outputs, gates, depth)``, the
+#: keyword arguments and the digest.
+TINY_DIGESTS = {
+    # One input: the narrow-cell clamp, then XOR folds to one output.
+    "clamp-fold": ((1, 1, 2, 1), dict(seed=0),
+                   "8847dc72456eef8ba7402003e582f489d8f71796b81efafab83078921797683c"),
+    # 100 draws find no fourth distinct fanin; the pad fills it.
+    "pad": ((2, 1, 3, 3), dict(seed=24677, cell_mix=NAND4_INV),
+            "8559149d02208a63cec3bbc0cfa17ce2242a959b3b4d4ca470652680e2b63715"),
+    # Fewer dangling nets than outputs: internal nets are promoted.
+    "promote": ((3, 8, 8, 4), dict(seed=0),
+                "78573b459574461358a33a3a792960c4a6578931864d437e06e8478731c18d48"),
+    # Unused inputs swapped into gates, some gates with no free slot.
+    "swap": ((20, 3, 16, 4), dict(seed=0),
+             "ba5c17a7177c3e344bc720988fee23997fed14ac0d4e370ef6fb1387ea91220d"),
+    # The rounded level allocation falls short and is topped up.
+    "undershoot": ((3, 2, 11, 4), dict(seed=0),
+                   "765b893b7dec2010bb2ed77597e59ebc74fd74bd58f9fed999c20b56ed11bb04"),
+}
+
+
+class TestGeneratedCircuitsArePinned:
+    @pytest.mark.parametrize("name", FULL_SUITE)
+    def test_suite_clone(self, lib, name):
+        assert structure_digest(make_benchmark(name, lib)) == SUITE_DIGESTS[name]
+
+    @pytest.mark.parametrize("label", sorted(TINY_DIGESTS))
+    def test_tiny_profile(self, lib, label):
+        profile, kwargs, digest = TINY_DIGESTS[label]
+        circuit = random_logic(lib, "t", *profile, **kwargs)
+        assert structure_digest(circuit) == digest
+
+    @pytest.mark.parametrize("profile, kwargs, message", [
+        ((5, 1, 2, 1), dict(seed=1), "too small to connect all inputs"),
+        ((1, 1, 2, 1), dict(seed=0, cell_mix=(("NAND2", 1.0),)),
+         "too small to supply distinct fanins"),
+    ], ids=["unconnected-inputs", "no-narrow-cell"])
+    def test_too_small_profile_rejected(self, lib, profile, kwargs, message):
+        with pytest.raises(NetlistError, match=message):
+            random_logic(lib, "t", *profile, **kwargs)
