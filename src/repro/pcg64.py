@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from typing import List, MutableSequence, Sequence, TypeVar
 
-T = TypeVar("T")
+_T = TypeVar("_T")
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -179,7 +179,7 @@ class Generator:
             j = self._interval(i)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, population: Sequence[T], size: int) -> List[T]:
+    def choice(self, population: Sequence[_T], size: int) -> List[_T]:
         """``size`` distinct items of ``population`` (``replace=False``)."""
         n = len(population)
         if not 0 <= size <= n:
